@@ -198,7 +198,7 @@ impl Cohana {
     }
 
     /// Register an already-opened lazy file source (used by
-    /// [`OpenOptions::open`] and the deprecated shims).
+    /// [`OpenOptions::open`]).
     pub(crate) fn register_file(&self, name: &str, source: Arc<FileSource>) {
         self.insert(name.to_string(), CatalogEntry::File(source));
     }
@@ -217,44 +217,6 @@ impl Cohana {
         }
     }
 
-    /// Load a persisted table file **eagerly** (materializing every chunk)
-    /// and register it.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).resident(true).open()`")]
-    pub fn load_file(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-    ) -> Result<Arc<CompressedTable>, EngineError> {
-        let table = cohana_storage::persist::read_file(path)?;
-        Ok(self.register(name, table))
-    }
-
-    /// Open a v2–v4 persisted table file **lazily** and register it.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).open()`")]
-    pub fn open_file(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-    ) -> Result<Arc<FileSource>, EngineError> {
-        let source =
-            Arc::new(FileSource::open_with_budget(path, cohana_storage::DEFAULT_CACHE_BUDGET)?);
-        self.insert(name.into(), CatalogEntry::File(source.clone()));
-        Ok(source)
-    }
-
-    /// Like `open_file` with an explicit segment-cache byte budget.
-    #[deprecated(since = "0.9.0", note = "use `engine.open(path).cache_bytes(n).open()`")]
-    pub fn open_file_with_budget(
-        &self,
-        name: impl Into<String>,
-        path: &Path,
-        cache_bytes: usize,
-    ) -> Result<Arc<FileSource>, EngineError> {
-        let source = Arc::new(FileSource::open_with_budget(path, cache_bytes)?);
-        self.insert(name.into(), CatalogEntry::File(source.clone()));
-        Ok(source)
-    }
-
     /// Fetch a registered **resident** table's concrete form (`None` for
     /// names registered as non-resident sources; use [`Cohana::source`] for
     /// the execution view of any table).
@@ -265,10 +227,11 @@ impl Cohana {
         }
     }
 
-    /// Ingest a batch of activity tuples into a registered table, making it
-    /// queryable by everything prepared *after* this call.
+    /// The implementation behind [`TableHandle::ingest`]: ingest a batch of
+    /// activity tuples into a registered table, making it queryable by
+    /// everything prepared *after* this call.
     ///
-    /// * A file-backed table (registered via [`Cohana::open_file`]) grows via
+    /// * A file-backed table (attached with [`Cohana::open`]) grows via
     ///   [`persist::append`](cohana_storage::persist::append): new chunks are
     ///   appended to the file, chunks holding returning users are rewritten
     ///   at the tail, and the catalog entry is swapped for a freshly opened
@@ -284,17 +247,6 @@ impl Cohana {
     /// the pre-ingest snapshot; re-prepare to see the new data.
     ///
     /// [`Statement`]: crate::Statement
-    #[deprecated(since = "0.9.0", note = "use `engine.table(name)?.ingest(batch)`")]
-    pub fn ingest(
-        &self,
-        name: &str,
-        batch: &cohana_activity::ActivityTable,
-    ) -> Result<cohana_storage::AppendStats, EngineError> {
-        self.ingest_inner(name, batch)
-    }
-
-    /// The implementation behind [`TableHandle::ingest`] (and the deprecated
-    /// [`Cohana::ingest`] shim).
     pub(crate) fn ingest_inner(
         &self,
         name: &str,
@@ -363,7 +315,8 @@ impl Cohana {
         }
     }
 
-    /// Compact a registered table: merge the under-filled chunks appends
+    /// The implementation behind [`TableHandle::compact`]: merge the
+    /// under-filled chunks appends
     /// leave behind, restore the `(user, time)` primary ordering (and with
     /// it the §4.2 pruning quality), and reclaim dead bytes.
     ///
@@ -372,13 +325,6 @@ impl Cohana {
     /// temp-file + rename) and the catalog entry swapped; resident tables
     /// are rebuilt in memory. Prepared statements keep their pre-compact
     /// snapshot, exactly as with ingest.
-    #[deprecated(since = "0.9.0", note = "use `engine.table(name)?.compact()`")]
-    pub fn compact(&self, name: &str) -> Result<cohana_storage::CompactStats, EngineError> {
-        self.compact_inner(name)
-    }
-
-    /// The implementation behind [`TableHandle::compact`] (and the
-    /// deprecated [`Cohana::compact`] shim).
     pub(crate) fn compact_inner(
         &self,
         name: &str,

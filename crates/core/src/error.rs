@@ -47,7 +47,12 @@ impl std::error::Error for EngineError {}
 
 impl From<cohana_storage::StorageError> for EngineError {
     fn from(e: cohana_storage::StorageError) -> Self {
-        EngineError::Storage(e.to_string())
+        match e {
+            // Keep "the file is fine, this build won't do that" distinct from
+            // storage failures (e.g. a retired format version).
+            cohana_storage::StorageError::Unsupported(m) => EngineError::Unsupported(m),
+            e => EngineError::Storage(e.to_string()),
+        }
     }
 }
 

@@ -2,10 +2,8 @@
 //! point for attaching any kind of table to the engine) and [`TableHandle`]
 //! (a typed handle carrying the table's lifecycle operations).
 //!
-//! Before this module, table management sprawled flat across the engine:
-//! `open_file` / `open_file_with_budget` / `load_file` to attach,
-//! stringly-named `ingest(name, ..)` / `compact(name)` to mutate. Those
-//! remain as thin deprecated shims; the one current surface is
+//! Attaching, mutating and inspecting a table all go through this one
+//! surface:
 //!
 //! ```no_run
 //! # use cohana_core::{Cohana, EngineOptions};
@@ -22,7 +20,7 @@
 //!
 //! `OpenOptions::open` sniffs what the path names: a shard-manifest
 //! directory (or the manifest file itself) attaches a sharded table with
-//! optional background maintenance; anything else is a single v2–v4 file,
+//! optional background maintenance; anything else is a single v3/v4 file,
 //! attached lazily by default or fully resident with
 //! [`OpenOptions::resident`]. `OpenOptions::create_from` builds a **new**
 //! table (single-file, or range-sharded with [`OpenOptions::shards`]) from
@@ -87,7 +85,7 @@ impl<'e> OpenOptions<'e> {
     }
 
     /// Load the table fully into memory instead of lazily (single-file
-    /// tables only; replaces the old `load_file`).
+    /// tables only).
     pub fn resident(mut self, resident: bool) -> Self {
         self.resident = resident;
         self
@@ -118,7 +116,7 @@ impl<'e> OpenOptions<'e> {
 
     /// Attach the existing table the path names: a sharded table (the
     /// directory or its manifest file — sniffed by magic), or a single
-    /// v2–v4 file (lazy by default, eager with [`OpenOptions::resident`]).
+    /// v3/v4 file (lazy by default, eager with [`OpenOptions::resident`]).
     pub fn open(self) -> Result<TableHandle<'e>, EngineError> {
         if shard::is_sharded(&self.path) {
             if self.resident {

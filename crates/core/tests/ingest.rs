@@ -253,20 +253,30 @@ fn ingest_rejects_generic_sources_and_unknown_tables() {
 
 #[test]
 fn ingest_of_v1_file_is_cleanly_rejected() {
-    // An engine can only open v2/v3 lazily, but a v2 file-backed table must
-    // reject ingest with the migration hint rather than corrupting the file.
+    // Files in the retired v1/v2 formats never reach the catalog, so they
+    // cannot be ingested into: the engine refuses them at attach time, lazy
+    // or resident, with the conversion hint — and leaves the file untouched.
+    // No v1/v2 writer remains, so relabel a v4 image's header.
     let table = base_table();
     let compressed =
         CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    let path = temp_path("v2-ingest.cohana");
-    std::fs::write(&path, persist::to_bytes_v2(&compressed)).unwrap();
     let engine = Cohana::new(EngineOptions::default());
-    let handle = engine.open(&path).open().unwrap();
-    let batch = split_by_time(&table, 2).remove(1);
-    let err = handle.ingest(&batch).unwrap_err();
-    match err {
-        EngineError::Storage(msg) => assert!(msg.contains("re-save"), "no migration hint: {msg}"),
-        other => panic!("expected Storage(Unsupported), got {other:?}"),
+    for version in [1u32, 2] {
+        let mut bytes = persist::to_bytes(&compressed).to_vec();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let path = temp_path(&format!("v{version}-ingest.cohana"));
+        std::fs::write(&path, &bytes).unwrap();
+        for resident in [false, true] {
+            match engine.open(&path).resident(resident).open().unwrap_err() {
+                EngineError::Unsupported(msg) => assert!(
+                    msg.contains("re-save"),
+                    "v{version} resident={resident}: no migration hint: {msg}"
+                ),
+                other => panic!("v{version} resident={resident}: expected Unsupported, {other:?}"),
+            }
+        }
+        assert!(matches!(engine.table("GameActions"), Err(EngineError::UnknownTable(_))));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_file(&path).ok();
     }
-    std::fs::remove_file(&path).ok();
 }

@@ -4,7 +4,7 @@
 //! served by the lazy file-backed `ChunkSource` — at parallelism 1 and 4.
 //! Plus the headline property of the footer-indexed formats: selective
 //! queries on a lazy source decode strictly fewer chunks than the table
-//! contains. (The full v1/v2/v3 version matrix lives in
+//! contains. (The full v3/v4 version matrix lives in
 //! `version_matrix.rs`.)
 
 use cohana_activity::{generate, GeneratorConfig, Schema, TableBuilder, Timestamp, Value};

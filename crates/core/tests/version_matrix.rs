@@ -1,11 +1,13 @@
 //! The on-disk version matrix: the paper's benchmark queries Q1–Q8 must
 //! produce identical reports over every supported format and access path —
-//! v1 (eager only), v2 (lazy, whole-chunk fetch), v3 (lazy, per-column
-//! fetch), and v4 (lazy, per-column fetch through the per-blob codec
-//! layer) — at parallelism 1 and 4, through *both* execution
-//! shapes of the session API: the eager [`Statement::execute`] and the
-//! streaming [`Statement::stream`] with its per-chunk batches merged by
-//! hand. Plus the two headline properties of the v3 refactor:
+//! v3 (raw blobs) and v4 (per-blob codecs), each loaded eagerly and opened
+//! lazily with per-column fetch — at parallelism 1 and 4, through *both*
+//! execution shapes of the session API: the eager [`Statement::execute`]
+//! and the streaming [`Statement::stream`] with its per-chunk batches
+//! merged by hand. The retired v1/v2 cells of the matrix assert the clean
+//! rejection: both read paths refuse those headers with a conversion hint
+//! instead of serving anything. Plus the two headline properties of the
+//! column-addressable layout:
 //!
 //! * **projection pushdown**: a query decodes strictly fewer columns than
 //!   `arity × chunks_touched`, because unprojected columns are never read;
@@ -16,7 +18,9 @@
 use cohana_activity::{generate, GeneratorConfig, Timestamp};
 use cohana_core::naive::naive_execute;
 use cohana_core::{paper, CohortQuery, CohortReport, PlannerOptions, Statement};
-use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, FileSource};
+use cohana_storage::{
+    persist, ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -73,26 +77,35 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
         Arc::new(CompressedTable::build(&table, CompressionOptions::with_chunk_size(256)).unwrap());
     assert!(memory.chunks().len() > 1, "need multiple chunks to be meaningful");
 
-    let v1_path = temp_file("matrix-v1.cohana");
-    let v2_path = temp_file("matrix-v2.cohana");
+    // v1/v2: no writer remains, so relabel a v4 image's header. Neither
+    // read path may serve it; both name the conversion route.
+    for version in [1u32, 2] {
+        let mut bytes = persist::to_bytes(&memory).to_vec();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let path = temp_file(&format!("matrix-v{version}.cohana"));
+        std::fs::write(&path, &bytes).unwrap();
+        let eager = persist::read_file(&path).err();
+        let lazy = FileSource::open(&path).err();
+        for (access, err) in [("eager", eager), ("lazy", lazy)] {
+            match err {
+                Some(StorageError::Unsupported(msg)) => {
+                    assert!(msg.contains("re-save"), "v{version} {access}: no hint: {msg}")
+                }
+                other => panic!("v{version} {access}: expected Unsupported, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     let v3_path = temp_file("matrix-v3.cohana");
     let v4_path = temp_file("matrix-v4.cohana");
-    std::fs::write(&v1_path, persist::to_bytes_v1(&memory)).unwrap();
-    std::fs::write(&v2_path, persist::to_bytes_v2(&memory)).unwrap();
     std::fs::write(&v3_path, persist::to_bytes_v3(&memory)).unwrap();
     persist::write_file(&memory, &v4_path).unwrap();
-
-    // v1 has no footer: eager load only.
-    let v1_eager = Arc::new(persist::read_file(&v1_path).unwrap());
-    // v2: lazy open degrades to whole-chunk fetches.
-    let v2_lazy = Arc::new(FileSource::open(&v2_path).unwrap());
-    assert!(!v2_lazy.is_column_addressable());
-    // v3: lazy open with per-column fetches.
+    let v3_eager = Arc::new(persist::read_file(&v3_path).unwrap());
+    let v4_eager = Arc::new(persist::read_file(&v4_path).unwrap());
+    // Lazy opens fetch per column; v4 goes through the codec layer.
     let v3_lazy = Arc::new(FileSource::open(&v3_path).unwrap());
-    assert!(v3_lazy.is_column_addressable());
-    // v4: lazy open with per-column fetches through the codec layer.
     let v4_lazy = Arc::new(FileSource::open(&v4_path).unwrap());
-    assert!(v4_lazy.is_column_addressable());
 
     for (name, query) in paper_queries() {
         // The executable spec: the naive interpreter over the uncompressed
@@ -107,10 +120,10 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
                 "{name} resident sizes vs naive p={parallelism}"
             );
             for (vname, source) in [
-                ("v1", Arc::clone(&v1_eager) as Arc<dyn ChunkSource>),
-                ("v2", Arc::clone(&v2_lazy) as Arc<dyn ChunkSource>),
-                ("v3", Arc::clone(&v3_lazy) as Arc<dyn ChunkSource>),
-                ("v4", Arc::clone(&v4_lazy) as Arc<dyn ChunkSource>),
+                ("v3 eager", Arc::clone(&v3_eager) as Arc<dyn ChunkSource>),
+                ("v3 lazy", Arc::clone(&v3_lazy) as Arc<dyn ChunkSource>),
+                ("v4 eager", Arc::clone(&v4_eager) as Arc<dyn ChunkSource>),
+                ("v4 lazy", Arc::clone(&v4_lazy) as Arc<dyn ChunkSource>),
             ] {
                 let stmt = prepare(source, &query, parallelism);
                 let eager = stmt.execute().unwrap();
@@ -157,15 +170,14 @@ fn q1_to_q8_identical_across_v1_v2_v3_v4_eager_and_streamed() {
             }
         }
     }
-    // The v2 source never decodes individual columns; the v3/v4 sources
-    // did. Raw-blob sources report decompressed bytes equal to bytes read;
-    // a v4 source's decoded bytes are never less than its disk bytes.
-    assert_eq!(v2_lazy.columns_decoded(), 0);
+    // The lazy sources decoded individual columns. Raw-blob sources report
+    // decompressed bytes equal to bytes read; a v4 source's decoded bytes
+    // are never less than its disk bytes.
     assert!(v3_lazy.columns_decoded() > 0);
     assert!(v4_lazy.columns_decoded() > 0);
     assert_eq!(v3_lazy.bytes_decompressed(), v3_lazy.bytes_read());
     assert!(v4_lazy.bytes_decompressed() >= v4_lazy.bytes_read());
-    for p in [v1_path, v2_path, v3_path, v4_path] {
+    for p in [v3_path, v4_path] {
         std::fs::remove_file(&p).ok();
     }
 }

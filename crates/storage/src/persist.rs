@@ -65,18 +65,17 @@
 //! the exact layout and `crate::writer::TableWriter` for the batching
 //! front end.
 //!
-//! # v3, v2 and v1 compatibility
+//! # Versions
 //!
-//! v3 files (raw column-addressable blobs, the pre-codec format) read
-//! identically through every path — eager, lazy, append, compact — and
-//! [`to_bytes_v3`] keeps the writer byte-for-byte. v2 files (whole-chunk
-//! blobs, footer-indexed; the PR-1 format) are supported eagerly via
-//! [`from_bytes`]/[`read_file`] and lazily via `FileSource`, which degrades
-//! to whole-chunk fetches since a v2 chunk is one blob. [`to_bytes_v2`]
-//! keeps the writer around. v1 files (a single eager header-first blob, no
-//! footer) are read by [`from_bytes`]; [`to_bytes_v1`] keeps that writer
-//! for round-trip tests and downgrades. Lazy opening requires v2+ —
-//! re-save a v1 file to migrate.
+//! Every entry point — [`from_bytes`]/[`read_file`], `FileSource`,
+//! [`append`], [`compact`], [`inspect`], [`file_space_stats`] — runs the
+//! same header check first. v3 files (raw column-addressable blobs, the
+//! pre-codec format) read identically through every path, and
+//! [`to_bytes_v3`] keeps that writer byte-for-byte; [`compact`] is their
+//! migration path to v4. The retired v1 (eager, footer-less) and v2
+//! (whole-chunk blobs) formats are rejected with
+//! [`StorageError::Unsupported`] carrying a conversion hint: re-save such a
+//! file with a release that still reads it.
 
 use crate::bitpack::BitPacked;
 use crate::chunk::Chunk;
@@ -100,6 +99,27 @@ pub const VERSION: u32 = 4;
 const HEADER_LEN: u64 = 8;
 /// Bytes after the footer: footer_len u64 + magic u32.
 const TAIL_LEN: u64 = 12;
+/// How to convert a file in a retired format, carried by every rejection.
+const CONVERSION_HINT: &str = "this build reads only v3/v4 files; re-save it with a release that \
+     still reads it (load with persist::read_file, save with persist::write_file)";
+
+/// The one header check every entry point runs: the magic, then the
+/// version. Returns the version (3 or 4); v1/v2 files are rejected with
+/// [`StorageError::Unsupported`] carrying [`CONVERSION_HINT`].
+fn check_header(header: &[u8]) -> Result<u32> {
+    let mut cur = header;
+    let magic = get_u32(&mut cur)?;
+    if magic != MAGIC {
+        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
+    }
+    match get_u32(&mut cur)? {
+        v @ (3 | 4) => Ok(v),
+        v @ (1 | 2) => Err(StorageError::Unsupported(format!(
+            "version {v} files are no longer supported: {CONVERSION_HINT}"
+        ))),
+        v => Err(StorageError::BadVersion(v)),
+    }
+}
 
 /// Serialize a compressed table into the current (v4, column-addressable
 /// with per-blob codecs) format.
@@ -166,14 +186,8 @@ fn write_blobs(
                 continue;
             }
             let offset = base + buf.len() as u64;
-            let col = chunk.column_required(idx);
-            *slot = if version >= 4 {
-                let (codec, uncompressed) = write_column_blob_v4(buf, col);
-                BlobLoc { offset, len: base + buf.len() as u64 - offset, codec, uncompressed }
-            } else {
-                write_column_blob(buf, col);
-                BlobLoc::raw(offset, base + buf.len() as u64 - offset)
-            };
+            let (codec, uncompressed) = write_column_blob(buf, chunk.column_required(idx), version);
+            *slot = BlobLoc { offset, len: base + buf.len() as u64 - offset, codec, uncompressed };
         }
         layouts.push(ChunkLayout { rle, cols });
     }
@@ -220,7 +234,14 @@ fn write_footer(
         for loc in &layout.cols {
             write_loc(buf, loc);
         }
-        write_entry_base(buf, entry);
+        buf.put_u64_le(entry.num_rows);
+        buf.put_u64_le(entry.num_users);
+        buf.put_u64_le(entry.time_min as u64);
+        buf.put_u64_le(entry.time_max as u64);
+        buf.put_u32_le(entry.action_gids.len() as u32);
+        for gid in &entry.action_gids {
+            buf.put_u32_le(*gid);
+        }
         debug_assert_eq!(entry.column_stats.len(), arity);
         for stats in &entry.column_stats {
             write_column_stats(buf, stats);
@@ -253,148 +274,32 @@ fn write_footer(
     }
 }
 
-/// Serialize in the v2 footer-indexed whole-chunk format (kept for
-/// round-trip tests and for producing files readable by v2-only consumers).
-pub fn to_bytes_v2(table: &CompressedTable) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(2);
-
-    // Chunk blobs, back-to-back; remember (offset, len) for the footer.
-    let mut locations = Vec::with_capacity(table.chunks().len());
-    for chunk in table.chunks() {
-        let offset = buf.len() as u64;
-        write_chunk(&mut buf, chunk);
-        locations.push((offset, buf.len() as u64 - offset));
-    }
-
-    // Footer.
-    let footer_start = buf.len() as u64;
-    buf.put_u64_le(table.options().chunk_size as u64);
-    write_schema(&mut buf, table.schema());
-    for meta in table.metas() {
-        write_meta(&mut buf, meta);
-    }
-    buf.put_u64_le(table.num_rows() as u64);
-    buf.put_u32_le(table.chunks().len() as u32);
-    for ((offset, len), entry) in locations.iter().zip(table.index_entries()) {
-        buf.put_u64_le(*offset);
-        buf.put_u64_le(*len);
-        write_entry_base(&mut buf, entry);
-    }
-    let footer_len = buf.len() as u64 - footer_start;
-
-    // Tail.
-    buf.put_u64_le(footer_len);
-    buf.put_u32_le(MAGIC);
-    buf.freeze()
-}
-
-/// Serialize in the legacy v1 eager format (kept for round-trip tests and
-/// for producing files readable by v1-only consumers).
-pub fn to_bytes_v1(table: &CompressedTable) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(1);
-    buf.put_u64_le(table.options().chunk_size as u64);
-    write_schema(&mut buf, table.schema());
-    for meta in table.metas() {
-        write_meta(&mut buf, meta);
-    }
-    buf.put_u64_le(table.num_rows() as u64);
-    buf.put_u32_le(table.chunks().len() as u32);
-    for chunk in table.chunks() {
-        write_chunk(&mut buf, chunk);
-    }
-    buf.freeze()
-}
-
-/// Deserialize a compressed table from bytes (v1–v4), materializing every
+/// Deserialize a compressed table from a v3/v4 image, materializing every
 /// chunk.
 pub fn from_bytes(data: &[u8]) -> Result<CompressedTable> {
-    let mut buf = data;
-    let magic = get_u32(&mut buf)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    match get_u32(&mut buf)? {
-        1 => from_bytes_v1(buf),
-        v @ 2..=4 => from_bytes_footered(data, v),
-        v => Err(StorageError::BadVersion(v)),
-    }
-}
-
-/// v1: header-first eager blob; `buf` starts right after magic + version.
-fn from_bytes_v1(mut buf: &[u8]) -> Result<CompressedTable> {
-    let chunk_size = get_u64(&mut buf)? as usize;
-    let schema = read_schema(&mut buf)?;
-    let mut metas = Vec::with_capacity(schema.arity());
-    for _ in 0..schema.arity() {
-        metas.push(read_meta(&mut buf)?);
-    }
-    let num_rows = get_u64(&mut buf)? as usize;
-    let num_chunks = get_u32(&mut buf)? as usize;
-    let mut chunks = Vec::with_capacity(num_chunks);
-    for _ in 0..num_chunks {
-        chunks.push(read_chunk(&mut buf, schema.arity())?);
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    CompressedTable::from_parts(
-        schema,
-        metas,
-        chunks,
-        num_rows,
-        CompressionOptions::with_chunk_size(chunk_size.max(1)),
-    )
-}
-
-/// v2/v3/v4: parse the footer from the tail, then decode every blob.
-fn from_bytes_footered(data: &[u8], version: u32) -> Result<CompressedTable> {
-    let footer = parse_footer_region(data, version)?;
-    let arity = footer.meta.schema().arity();
-    let mut chunks = Vec::with_capacity(footer.locations.len());
-    match &footer.layouts {
-        // v3/v4: assemble each chunk from its independently addressed blobs.
-        Some(layouts) => {
-            let user_idx = footer.meta.schema().user_idx();
-            for (ci, layout) in layouts.iter().enumerate() {
-                let corrupt = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
-                let (start, end) =
-                    (layout.rle.offset as usize, (layout.rle.offset + layout.rle.len) as usize);
-                let mut rle = decode_rle_blob(&data[start..end]).map_err(corrupt)?;
-                if let Some(remap) = footer.remap_for(ci, user_idx) {
-                    rle = rle.remap_users(remap).map_err(corrupt)?;
-                }
-                let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; arity];
-                for (idx, loc) in layout.cols.iter().enumerate() {
-                    if idx == user_idx {
-                        continue;
-                    }
-                    let (start, end) = (loc.offset as usize, (loc.offset + loc.len) as usize);
-                    let col_err = |e: StorageError| {
-                        StorageError::Corrupt(format!("chunk {ci}: col {idx}: {e}"))
-                    };
-                    let mut col =
-                        decode_column_blob_loc(&data[start..end], loc).map_err(col_err)?;
-                    if let Some(remap) = footer.remap_for(ci, idx) {
-                        col = col.remap_gids(remap).map_err(col_err)?;
-                    }
-                    columns[idx] = Some(Arc::new(col));
-                }
-                chunks.push(Chunk::from_shared(Arc::new(rle), columns)?);
-            }
+    let footer = parse_footer_region(data)?;
+    let user_idx = footer.meta.schema().user_idx();
+    let mut chunks = Vec::with_capacity(footer.layouts.len());
+    for (ci, layout) in footer.layouts.iter().enumerate() {
+        let corrupt = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
+        let mut rle = decode_rle_blob(blob_bytes(data, &layout.rle)).map_err(corrupt)?;
+        if let Some(remap) = footer.remap_for(ci, user_idx) {
+            rle = rle.remap_users(remap).map_err(corrupt)?;
         }
-        // v2: one self-contained blob per chunk.
-        None => {
-            for (ci, (offset, len)) in footer.locations.iter().enumerate() {
-                let (start, end) = (*offset as usize, (*offset + *len) as usize);
-                let chunk = decode_chunk_blob(&data[start..end], arity)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
-                chunks.push(chunk);
+        let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; layout.cols.len()];
+        for (idx, loc) in layout.cols.iter().enumerate() {
+            if idx == user_idx {
+                continue;
             }
+            let col_err =
+                |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: col {idx}: {e}"));
+            let mut col = decode_column_blob_loc(blob_bytes(data, loc), loc).map_err(col_err)?;
+            if let Some(remap) = footer.remap_for(ci, idx) {
+                col = col.remap_gids(remap).map_err(col_err)?;
+            }
+            columns[idx] = Some(Arc::new(col));
         }
+        chunks.push(Chunk::from_shared(Arc::new(rle), columns)?);
     }
     let table = CompressedTable::from_parts(
         footer.meta.schema().clone(),
@@ -405,17 +310,17 @@ fn from_bytes_footered(data: &[u8], version: u32) -> Result<CompressedTable> {
     )?;
     // The footer's index entries are untrusted input: they must agree with
     // the entries recomputed from the decoded chunks, or pruning decisions
-    // would silently disagree with the data. (v2 entries carry no column
-    // stats and compare on their base fields.)
-    let consistent = table
-        .index_entries()
-        .iter()
-        .zip(footer.entries.iter())
-        .all(|(computed, stored)| stored.matches(computed));
-    if !consistent || table.index_entries().len() != footer.entries.len() {
+    // would silently disagree with the data.
+    if table.index_entries() != footer.entries.as_slice() {
         return Err(StorageError::Corrupt("footer index disagrees with chunk payloads".into()));
     }
     Ok(table)
+}
+
+/// The bytes of one blob inside a whole in-memory image (the footer parse
+/// already bounded every location by the payload region).
+fn blob_bytes<'a>(data: &'a [u8], loc: &BlobLoc) -> &'a [u8] {
+    &data[loc.offset as usize..(loc.offset + loc.len) as usize]
 }
 
 /// Write a compressed table to a file (current v4 format).
@@ -424,9 +329,8 @@ pub fn write_file(table: &CompressedTable, path: &Path) -> Result<()> {
     Ok(())
 }
 
-/// Read a compressed table from a file (any version), materializing every
-/// chunk. For lazy access to v2/v3 files use
-/// [`FileSource`](crate::source::FileSource) instead.
+/// Read a compressed table from a v3/v4 file, materializing every chunk.
+/// For lazy access use [`FileSource`](crate::source::FileSource) instead.
 pub fn read_file(path: &Path) -> Result<CompressedTable> {
     let data = std::fs::read(path)?;
     from_bytes(&data)
@@ -472,26 +376,6 @@ pub struct CompactStats {
     pub chunks_after: usize,
     /// Total tuples (unchanged by compaction).
     pub rows: usize,
-}
-
-/// Check that a file starts with a growable (v3/v4) header and return its
-/// version, with an operation-specific hint for v1/v2 files (which are
-/// immutable snapshots in those formats).
-fn require_growable(header: &[u8], what: &str) -> Result<u32> {
-    let mut cur = header;
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    match get_u32(&mut cur)? {
-        v @ (3 | 4) => Ok(v),
-        v @ (1 | 2) => Err(StorageError::Unsupported(format!(
-            "cannot {what} a version {v} file: only v3+ column-addressable files support in-place \
-             growth; load it eagerly with persist::read_file and re-save with persist::write_file \
-             to migrate"
-        ))),
-        v => Err(StorageError::BadVersion(v)),
-    }
 }
 
 fn read_exact_at(file: &mut std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>> {
@@ -588,9 +472,9 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// through it. The merged dictionaries stay sorted, so `rank`-based ordering
 /// predicates remain valid.
 ///
-/// v1/v2 files are rejected with [`StorageError::Unsupported`] — re-save
-/// them as v3 first. The batch must have the file's schema, and its primary
-/// keys must not collide with existing tuples.
+/// v1/v2 files are rejected with [`StorageError::Unsupported`]. The batch
+/// must have the file's schema, and its primary keys must not collide with
+/// existing tuples.
 ///
 /// Readers holding the file open (e.g. a
 /// [`FileSource`](crate::source::FileSource)) are unaffected: their footer
@@ -605,30 +489,26 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// out-of-engine callers own the coordination.
 pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     let mut file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
-    let total = file.seek(SeekFrom::End(0))?;
-    if total < HEADER_LEN + TAIL_LEN {
-        return Err(StorageError::Corrupt("file too short for header + tail".into()));
-    }
-    let header = read_exact_at(&mut file, 0, HEADER_LEN)?;
-    let version = require_growable(&header, "append to")?;
     let footer = read_footer_from_file(&mut file)?;
+    let total = footer.file_len;
+    let version = footer.version;
     let schema = footer.meta.schema().clone();
     if &schema != batch.schema() {
         return Err(StorageError::Invalid(
             "append batch schema differs from the file's schema".into(),
         ));
     }
-    let chunks_before = footer.locations.len();
+    let chunks_before = footer.layouts.len();
     if batch.is_empty() {
         return Ok(AppendStats {
             chunks_before,
             chunks_after: chunks_before,
             file_bytes: total,
-            dead_bytes: dead_bytes(total, &footer),
+            dead_bytes: footer.dead_bytes(),
             ..AppendStats::default()
         });
     }
-    let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts").clone();
+    let layouts = &footer.layouts;
 
     // Merge the batch's new values into every dictionary, remembering the
     // strictly increasing remap of each old dictionary into its merged form;
@@ -786,8 +666,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     file.write_all(&tail_buf)?;
 
     let file_bytes = total + tail_buf.len() as u64;
-    let live_payload: u64 =
-        all_layouts.iter().map(|l| l.rle.len + l.cols.iter().map(|loc| loc.len).sum::<u64>()).sum();
+    let live_payload: u64 = all_layouts.iter().map(ChunkLayout::payload_len).sum();
     Ok(AppendStats {
         rows_appended: batch.num_rows(),
         chunks_before,
@@ -797,13 +676,6 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         dead_bytes: file_bytes - HEADER_LEN - live_payload - footer_len - TAIL_LEN,
         file_bytes,
     })
-}
-
-/// Dead (unreferenced) payload bytes in a parsed file image.
-fn dead_bytes(total: u64, footer: &Footer) -> u64 {
-    let live: u64 = footer.locations.iter().map(|(_, len)| *len).sum();
-    let footer_len = total - TAIL_LEN - footer.payload_end;
-    total - HEADER_LEN - live - footer_len - TAIL_LEN
 }
 
 /// Space accounting of one on-disk table file, readable from the footer
@@ -832,17 +704,15 @@ impl FileSpaceStats {
     }
 }
 
-/// Read the space accounting of a v2/v3/v4 file: total size plus the dead
+/// Read the space accounting of a v3/v4 file: total size plus the dead
 /// bytes its current footer no longer references. Costs one footer parse.
 pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
-    let mut file = std::fs::File::open(path)?;
-    let footer = read_footer_from_file(&mut file)?;
-    let total = file.metadata()?.len();
+    let footer = read_footer_from_file(&mut std::fs::File::open(path)?)?;
     Ok(FileSpaceStats {
-        file_bytes: total,
-        dead_bytes: dead_bytes(total, &footer),
+        file_bytes: footer.file_len,
+        dead_bytes: footer.dead_bytes(),
         rows: footer.entries.iter().map(|e| e.num_rows).sum(),
-        chunks: footer.locations.len(),
+        chunks: footer.layouts.len(),
     })
 }
 
@@ -858,10 +728,6 @@ pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
 pub fn compact(path: &Path) -> Result<CompactStats> {
     let data = std::fs::read(path)?;
     let bytes_before = data.len() as u64;
-    if data.len() < HEADER_LEN as usize {
-        return Err(StorageError::Corrupt("file too short for header".into()));
-    }
-    require_growable(&data[..HEADER_LEN as usize], "compact")?;
     let table = from_bytes(&data)?;
     let chunks_before = table.chunks().len();
     let rows = table.decompress()?;
@@ -964,28 +830,14 @@ impl FormatInfo {
     }
 }
 
-/// Walk every live blob of a v3/v4 file, decode each through its codec
-/// tag, and report per-column and per-codec size and decode-time
-/// aggregates. This is the measurement backbone of the `lazy-io` bench
-/// experiment and doubles as a whole-file decode validation pass.
+/// Walk every live blob of a v3/v4 file, decode each through the same
+/// blob decoders the lazy scan path uses, and report per-column and
+/// per-codec size and decode-time aggregates — so the per-codec times are
+/// what queries pay. This is the measurement backbone of the `lazy-io`
+/// bench experiment and doubles as a whole-file decode validation pass.
 pub fn inspect(path: &Path) -> Result<FormatInfo> {
     let data = std::fs::read(path)?;
-    if data.len() < HEADER_LEN as usize {
-        return Err(StorageError::Corrupt("file too short for header".into()));
-    }
-    let mut cur = &data[..HEADER_LEN as usize];
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    let version = get_u32(&mut cur)?;
-    if !matches!(version, 3 | 4) {
-        return Err(StorageError::Unsupported(format!(
-            "inspect needs the per-blob layouts of a v3/v4 file, got version {version}"
-        )));
-    }
-    let footer = parse_footer_region(&data, version)?;
-    let layouts = footer.layouts.as_ref().expect("v3+ footers always carry layouts");
+    let footer = parse_footer_region(&data)?;
     let schema = footer.meta.schema();
     let user_idx = schema.user_idx();
     let mut columns: Vec<ColumnCompression> = (0..schema.arity())
@@ -1005,30 +857,31 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
         c.uncompressed_bytes += loc.uncompressed;
         c.decode_nanos += ns;
     };
-    // One scratch vector reused across every column blob: inspect only
-    // needs the decoded values for timing/validation, so it takes the
-    // decode-into-scratch path and skips the BitPacked repack.
-    let mut scratch: Vec<u64> = Vec::new();
-    for (layout, entry) in layouts.iter().zip(&footer.entries) {
+    for (ci, (layout, entry)) in footer.layouts.iter().zip(&footer.entries).enumerate() {
         let loc = &layout.rle;
-        let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
         let start = std::time::Instant::now();
-        decode_rle_blob(blob)?;
+        decode_rle_blob(blob_bytes(&data, loc))?;
         record(&mut columns, user_idx, loc, start.elapsed().as_nanos() as u64);
         for (idx, loc) in layout.cols.iter().enumerate() {
             if idx == user_idx {
                 continue;
             }
-            let blob = &data[loc.offset as usize..(loc.offset + loc.len) as usize];
             let start = std::time::Instant::now();
-            decode_column_values_into(blob, loc, entry.num_rows, &mut scratch)?;
+            let col = decode_column_blob_loc(blob_bytes(&data, loc), loc)?;
             record(&mut columns, idx, loc, start.elapsed().as_nanos() as u64);
+            if col.len() as u64 != entry.num_rows {
+                return Err(StorageError::Corrupt(format!(
+                    "chunk {ci}: column {idx} has {} rows, footer claims {}",
+                    col.len(),
+                    entry.num_rows
+                )));
+            }
         }
     }
     Ok(FormatInfo {
-        version,
+        version: footer.version,
         num_rows: footer.meta.num_rows(),
-        num_chunks: layouts.len(),
+        num_chunks: footer.layouts.len(),
         columns,
         codecs,
     })
@@ -1039,7 +892,7 @@ pub fn inspect(path: &Path) -> Result<FormatInfo> {
 /// The byte location of one blob plus how it is encoded: where it lives,
 /// how many bytes it occupies on disk, the codec its packed-array section
 /// was written with, and the exact length the blob serializes to once
-/// decoded back to raw v3 form. For v1–v3 files `codec` is always
+/// decoded back to raw v3 form. For v3 files `codec` is always
 /// [`Codec::Raw`] and `uncompressed == len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct BlobLoc {
@@ -1073,6 +926,14 @@ pub(crate) struct ChunkLayout {
     pub(crate) cols: Vec<BlobLoc>,
 }
 
+impl ChunkLayout {
+    /// Payload bytes of the chunk: its RLE blob plus every column blob
+    /// (they tile one contiguous span).
+    pub(crate) fn payload_len(&self) -> u64 {
+        self.rle.len + self.cols.iter().map(|loc| loc.len).sum::<u64>()
+    }
+}
+
 /// One dictionary epoch's gid remaps: for every attribute, either `None`
 /// (integer attribute, or a dictionary unchanged since that epoch) or the
 /// strictly increasing map from the epoch's global ids into the file's
@@ -1083,18 +944,19 @@ pub(crate) struct ChunkLayout {
 /// predicates stay valid).
 pub(crate) type EpochRemaps = Vec<Option<Arc<Vec<u32>>>>;
 
-/// Parsed footer: table metadata, per-chunk index entries, per-chunk payload
-/// spans, and (v3) per-blob layouts.
+/// Parsed footer: the file's version and length, table metadata, and per
+/// chunk the index entry and blob layout.
 pub(crate) struct Footer {
+    /// Format version from the header (3 or 4).
+    pub(crate) version: u32,
+    /// Total file length the footer was read from.
+    pub(crate) file_len: u64,
     pub(crate) meta: TableMeta,
     pub(crate) entries: Vec<ChunkIndexEntry>,
-    /// `(offset, len)` of each chunk's whole payload span (v2: the chunk
-    /// blob; v3: RLE through last column, which tile contiguously). Appended
-    /// files may have dead-byte gaps *between* spans (superseded chunk
-    /// versions and earlier footers), never inside one.
-    pub(crate) locations: Vec<(u64, u64)>,
-    /// v3/v4 only: the per-blob layout of every chunk.
-    pub(crate) layouts: Option<Vec<ChunkLayout>>,
+    /// The per-blob layout of every chunk. Appended files may have
+    /// dead-byte gaps *between* chunks (superseded chunk versions and
+    /// earlier footers), never inside one.
+    pub(crate) layouts: Vec<ChunkLayout>,
     /// Non-current dictionary epochs, oldest first (empty for files never
     /// appended to, or fully rewritten by [`compact`]).
     pub(crate) epochs: Vec<EpochRemaps>,
@@ -1114,45 +976,54 @@ impl Footer {
         let epoch = self.chunk_epochs.get(chunk).copied().unwrap_or(self.epochs.len() as u32);
         self.epochs.get(epoch as usize).and_then(|per_attr| per_attr[attr].as_ref())
     }
+
+    /// Dead (unreferenced) payload bytes: everything in the file that is
+    /// neither header, live blob, current footer nor tail.
+    pub(crate) fn dead_bytes(&self) -> u64 {
+        let live: u64 = self.layouts.iter().map(ChunkLayout::payload_len).sum();
+        self.payload_end - HEADER_LEN - live
+    }
 }
 
-/// Validate tail + header of a full footered image and parse its footer.
-fn parse_footer_region(data: &[u8], version: u32) -> Result<Footer> {
+/// Check the header of a whole in-memory image, then parse its footer.
+fn parse_footer_region(data: &[u8]) -> Result<Footer> {
+    let version = check_header(data)?;
     let total = data.len() as u64;
     if total < HEADER_LEN + TAIL_LEN {
         return Err(StorageError::Corrupt("file too short for header + tail".into()));
     }
-    let mut tail = &data[(total - TAIL_LEN) as usize..];
+    let footer_start = parse_tail(&data[(total - TAIL_LEN) as usize..], total)?;
+    let footer_bytes = &data[footer_start as usize..(total - TAIL_LEN) as usize];
+    read_footer(footer_bytes, footer_start, version, total)
+}
+
+/// Validate the `TAIL_LEN`-byte tail of a `total`-byte file and return the
+/// offset where its footer starts. A footer length pointing outside the
+/// file — the signature of a truncated or mis-appended image — is reported
+/// with the offsets, so the operator can see where the file ends versus
+/// where the footer claims to live.
+fn parse_tail(mut tail: &[u8], total: u64) -> Result<u64> {
     let footer_len = get_u64(&mut tail)?;
     let tail_magic = get_u32(&mut tail)?;
     if tail_magic != MAGIC {
         return Err(StorageError::Corrupt(format!("bad tail magic {tail_magic:#x}")));
     }
     if footer_len > total - HEADER_LEN - TAIL_LEN {
-        return Err(footer_overrun(footer_len, total));
+        let claimed_start = total as i128 - TAIL_LEN as i128 - footer_len as i128;
+        return Err(StorageError::Corrupt(format!(
+            "footer of length {footer_len} would start at offset {claimed_start}, outside the \
+             valid payload region [{HEADER_LEN}, {}) of this {total}-byte file (truncated or \
+             corrupt tail)",
+            total - TAIL_LEN,
+        )));
     }
-    let footer_start = total - TAIL_LEN - footer_len;
-    let footer_bytes = &data[footer_start as usize..(total - TAIL_LEN) as usize];
-    read_footer(footer_bytes, footer_start, version)
+    Ok(total - TAIL_LEN - footer_len)
 }
 
-/// The error for a tail whose footer length points outside the file — the
-/// signature of a truncated or mis-appended image. Names the offsets so the
-/// operator can see where the file ends versus where the footer claims to
-/// live.
-fn footer_overrun(footer_len: u64, total: u64) -> StorageError {
-    let claimed_start = total as i128 - TAIL_LEN as i128 - footer_len as i128;
-    StorageError::Corrupt(format!(
-        "footer of length {footer_len} would start at offset {claimed_start}, outside the valid \
-         payload region [{HEADER_LEN}, {}) of this {total}-byte file (truncated or corrupt tail)",
-        total - TAIL_LEN,
-    ))
-}
-
-/// Parse the footer bytes of a v2 or v3 image; `footer_start` is the file
+/// Parse the footer bytes of a v3/v4 image; `footer_start` is the file
 /// offset where the footer begins (== the end of the payload region), used
-/// to validate blob locations.
-fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer> {
+/// to validate blob locations, and `file_len` the file's total length.
+fn read_footer(mut buf: &[u8], footer_start: u64, version: u32, file_len: u64) -> Result<Footer> {
     let chunk_size = get_u64(&mut buf)? as usize;
     // The writer never produces 0 (CompressedTable::build rejects it), so a
     // zero here is corruption, not a value to repair.
@@ -1169,20 +1040,16 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
     let arity = schema.arity();
     // Guard the chunk count before allocating: every entry needs at least
     // its fixed-size fields.
-    let min_entry = match version {
-        2 => 52,
-        // rle record + per-attr records + counts/bounds + n_actions +
-        // 1-byte stats tags. v4 blob records additionally carry a codec
-        // tag and an uncompressed length (9 bytes per blob).
-        4 => 25 + 25 * arity + 32 + 4 + arity,
-        _ => 16 + 16 * arity + 32 + 4 + arity,
-    };
+    // rle record + per-attr records + counts/bounds + n_actions + 1-byte
+    // stats tags. v4 blob records additionally carry a codec tag and an
+    // uncompressed length (9 bytes per blob).
+    let record_len = if version >= 4 { 25 } else { 16 };
+    let min_entry = record_len * (1 + arity) + 32 + 4 + arity;
     if num_chunks > buf.remaining() / min_entry {
         return Err(StorageError::Corrupt(format!("chunk count {num_chunks} overruns footer")));
     }
     let mut entries = Vec::with_capacity(num_chunks);
-    let mut locations = Vec::with_capacity(num_chunks);
-    let mut layouts = (version >= 3).then(|| Vec::with_capacity(num_chunks));
+    let mut layouts = Vec::with_capacity(num_chunks);
     let mut expected_offset = HEADER_LEN;
     for ci in 0..num_chunks {
         // Blob locations must be monotone, non-overlapping, and inside
@@ -1192,7 +1059,6 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
         // the blobs tile exactly. Lengths are compared by subtraction
         // (`offset < footer_start` is checked first), so a crafted length
         // near u64::MAX cannot wrap the bound check.
-        let span_start;
         let mut take_blob = |buf: &mut &[u8], what: &str, gap_ok: bool| -> Result<BlobLoc> {
             let offset = get_u64(buf)?;
             let len = get_u64(buf)?;
@@ -1232,39 +1098,31 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             }
             Ok(BlobLoc { offset, len, codec, uncompressed })
         };
-        let layout = if version >= 3 {
-            let rle = take_blob(&mut buf, "rle", true)?;
-            if rle.codec != Codec::Raw {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk {ci}: rle blob must be raw, found codec {}",
-                    rle.codec.name(),
-                )));
-            }
-            span_start = rle.offset;
-            let mut cols = vec![BlobLoc::absent(); arity];
-            for (idx, slot) in cols.iter_mut().enumerate() {
-                if idx == schema.user_idx() {
-                    let offset = get_u64(&mut buf)?;
-                    let len = get_u64(&mut buf)?;
-                    let mut zero = (offset, len) == (0, 0);
-                    if version >= 4 {
-                        zero &= get_u8(&mut buf)? == 0 && get_u64(&mut buf)? == 0;
-                    }
-                    if !zero {
-                        return Err(StorageError::Corrupt(format!(
-                            "chunk {ci}: user column has a blob location"
-                        )));
-                    }
-                } else {
-                    *slot = take_blob(&mut buf, "column", false)?;
+        let rle = take_blob(&mut buf, "rle", true)?;
+        if rle.codec != Codec::Raw {
+            return Err(StorageError::Corrupt(format!(
+                "chunk {ci}: rle blob must be raw, found codec {}",
+                rle.codec.name(),
+            )));
+        }
+        let mut cols = vec![BlobLoc::absent(); arity];
+        for (idx, slot) in cols.iter_mut().enumerate() {
+            if idx == schema.user_idx() {
+                let offset = get_u64(&mut buf)?;
+                let len = get_u64(&mut buf)?;
+                let mut zero = (offset, len) == (0, 0);
+                if version >= 4 {
+                    zero &= get_u8(&mut buf)? == 0 && get_u64(&mut buf)? == 0;
                 }
+                if !zero {
+                    return Err(StorageError::Corrupt(format!(
+                        "chunk {ci}: user column has a blob location"
+                    )));
+                }
+            } else {
+                *slot = take_blob(&mut buf, "column", false)?;
             }
-            Some(ChunkLayout { rle, cols })
-        } else {
-            let chunk = take_blob(&mut buf, "chunk", true)?;
-            span_start = chunk.offset;
-            None
-        };
+        }
         let num_rows = get_u64(&mut buf)?;
         let num_users = get_u64(&mut buf)?;
         let time_min = get_i64(&mut buf)?;
@@ -1282,28 +1140,23 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
         if !action_gids.windows(2).all(|w| w[0] < w[1]) {
             return Err(StorageError::Corrupt(format!("chunk {ci}: action gids not sorted")));
         }
-        let column_stats = if version >= 3 {
-            let mut stats = Vec::with_capacity(arity);
-            for (idx, meta) in metas.iter().enumerate() {
-                let s = read_column_stats(&mut buf)?;
-                // Stats kinds must agree with the attribute metadata.
-                let agrees = matches!(
-                    (&s, meta),
-                    (ColumnStats::User, ColumnMeta::User { .. })
-                        | (ColumnStats::Str { .. }, ColumnMeta::Str { .. })
-                        | (ColumnStats::Int { .. }, ColumnMeta::Int { .. })
-                );
-                if !agrees {
-                    return Err(StorageError::Corrupt(format!(
-                        "chunk {ci}: column {idx} stats kind disagrees with metadata"
-                    )));
-                }
-                stats.push(s);
+        let mut column_stats = Vec::with_capacity(arity);
+        for (idx, meta) in metas.iter().enumerate() {
+            let s = read_column_stats(&mut buf)?;
+            // Stats kinds must agree with the attribute metadata.
+            let agrees = matches!(
+                (&s, meta),
+                (ColumnStats::User, ColumnMeta::User { .. })
+                    | (ColumnStats::Str { .. }, ColumnMeta::Str { .. })
+                    | (ColumnStats::Int { .. }, ColumnMeta::Int { .. })
+            );
+            if !agrees {
+                return Err(StorageError::Corrupt(format!(
+                    "chunk {ci}: column {idx} stats kind disagrees with metadata"
+                )));
             }
-            stats
-        } else {
-            Vec::new()
-        };
+            column_stats.push(s);
+        }
         entries.push(ChunkIndexEntry {
             num_rows,
             num_users,
@@ -1312,17 +1165,14 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
             action_gids,
             column_stats,
         });
-        locations.push((span_start, expected_offset - span_start));
-        if let (Some(layouts), Some(layout)) = (layouts.as_mut(), layout) {
-            layouts.push(layout);
-        }
+        layouts.push(ChunkLayout { rle, cols });
     }
     // Optional dictionary-epoch extension, present only in files that have
     // been appended to: per-chunk epoch tags, then one gid remap per
     // dictionary attribute for every non-current epoch.
     let mut epochs: Vec<EpochRemaps> = Vec::new();
     let mut chunk_epochs: Vec<u32> = Vec::new();
-    if version >= 3 && buf.has_remaining() {
+    if buf.has_remaining() {
         let epoch_count = get_u32(&mut buf)? as usize;
         // Every epoch needs at least one tag byte per attribute, every chunk
         // a 4-byte tag; guard before allocating.
@@ -1397,9 +1247,10 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
     let meta =
         TableMeta::new(schema, metas, num_rows, CompressionOptions::with_chunk_size(chunk_size))?;
     Ok(Footer {
+        version,
+        file_len,
         meta,
         entries,
-        locations,
         layouts,
         epochs,
         chunk_epochs,
@@ -1407,65 +1258,17 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32) -> Result<Footer
     })
 }
 
-/// Open a v2/v3 file for lazy access: verify the header, then read and
-/// parse only the footer. Rejects v1 files (no footer) with a migration
-/// hint.
+/// Open a v3/v4 file for lazy access: check the header, then read and
+/// parse only the footer.
 pub(crate) fn read_footer_from_file(file: &mut std::fs::File) -> Result<Footer> {
     let total = file.seek(SeekFrom::End(0))?;
+    let version = check_header(&read_exact_at(file, 0, HEADER_LEN.min(total))?)?;
     if total < HEADER_LEN + TAIL_LEN {
         return Err(StorageError::Corrupt("file too short for header + tail".into()));
     }
-
-    let mut header = [0u8; HEADER_LEN as usize];
-    file.seek(SeekFrom::Start(0))?;
-    file.read_exact(&mut header)?;
-    let mut cur: &[u8] = &header;
-    let magic = get_u32(&mut cur)?;
-    if magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad magic {magic:#x}")));
-    }
-    let version = match get_u32(&mut cur)? {
-        v @ 2..=4 => v,
-        1 => {
-            return Err(StorageError::Unsupported(
-                "version 1 files have no chunk index footer and cannot be opened lazily; \
-                 load eagerly with persist::read_file and re-save to migrate"
-                    .into(),
-            ))
-        }
-        v => return Err(StorageError::BadVersion(v)),
-    };
-
-    let mut tail = [0u8; TAIL_LEN as usize];
-    file.seek(SeekFrom::Start(total - TAIL_LEN))?;
-    file.read_exact(&mut tail)?;
-    let mut cur: &[u8] = &tail;
-    let footer_len = get_u64(&mut cur)?;
-    let tail_magic = get_u32(&mut cur)?;
-    if tail_magic != MAGIC {
-        return Err(StorageError::Corrupt(format!("bad tail magic {tail_magic:#x}")));
-    }
-    if footer_len > total - HEADER_LEN - TAIL_LEN {
-        return Err(footer_overrun(footer_len, total));
-    }
-    let footer_start = total - TAIL_LEN - footer_len;
-    let mut footer_bytes = vec![0u8; footer_len as usize];
-    file.seek(SeekFrom::Start(footer_start))?;
-    file.read_exact(&mut footer_bytes)?;
-    read_footer(&footer_bytes, footer_start, version)
-}
-
-/// Decode one self-contained whole-chunk blob (as located by a v2 footer).
-pub(crate) fn decode_chunk_blob(blob: &[u8], arity: usize) -> Result<Chunk> {
-    let mut buf = blob;
-    let chunk = read_chunk(&mut buf, arity)?;
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after chunk payload",
-            buf.remaining()
-        )));
-    }
-    Ok(chunk)
+    let footer_start = parse_tail(&read_exact_at(file, total - TAIL_LEN, TAIL_LEN)?, total)?;
+    let footer_bytes = read_exact_at(file, footer_start, total - TAIL_LEN - footer_start)?;
+    read_footer(&footer_bytes, footer_start, version, total)
 }
 
 /// Decode one self-contained RLE blob (as located by a v3 footer).
@@ -1484,31 +1287,15 @@ pub(crate) fn decode_rle_blob(blob: &[u8]) -> Result<UserRle> {
     Ok(rle)
 }
 
-/// Decode one self-contained column blob (as located by a v3 footer).
-pub(crate) fn decode_column_blob(blob: &[u8]) -> Result<ChunkColumn> {
-    let mut buf = blob;
-    let col = read_column(&mut buf)?
-        .ok_or_else(|| StorageError::Corrupt("column blob holds no segment".into()))?;
-    if buf.has_remaining() {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after column payload",
-            buf.remaining()
-        )));
-    }
-    Ok(col)
-}
-
-/// Decode one column blob through its footer record: raw blobs take the v3
-/// path unchanged; codec-compressed blobs parse the raw header, then hand
-/// the remaining bytes to [`codec::decode_array`] with the exact raw
+/// Decode one column blob through its footer record: the raw header (tag
+/// byte, chunk dictionary gids or int min/max) is parsed once, then the
+/// packed-array section is read as-is for raw blobs or handed to
+/// [`codec::decode_array`] for codec-compressed ones, with the exact raw
 /// section length implied by `loc.uncompressed` — which the codecs verify
 /// against their own embedded width/length *before* allocating, and which
 /// pins the decoded blob's v3 serialization to exactly `uncompressed`
 /// bytes.
 pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<ChunkColumn> {
-    if loc.codec == Codec::Raw {
-        return decode_column_blob(blob);
-    }
     let mut buf = blob;
     let col = match get_u8(&mut buf)? {
         1 => {
@@ -1523,15 +1310,13 @@ pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<Chunk
                 gids.push(get_u32(&mut buf)?);
             }
             let dict = ChunkDict::from_sorted(gids)?;
-            let header_len = 5 + 4 * dict.len() as u64;
-            let expected = section_len(loc, header_len)?;
-            let codes = codec::decode_array(loc.codec, buf, expected)?;
+            let codes = decode_section(buf, loc, 5 + 4 * dict.len() as u64)?;
             ChunkColumn::Str { dict, codes }
         }
         2 => {
             let min = get_i64(&mut buf)?;
             let max = get_i64(&mut buf)?;
-            let deltas = codec::decode_array(loc.codec, buf, section_len(loc, 17)?)?;
+            let deltas = decode_section(buf, loc, 17)?;
             ChunkColumn::Int { min, max, deltas }
         }
         t => return Err(StorageError::Corrupt(format!("bad column tag {t}"))),
@@ -1539,50 +1324,20 @@ pub(crate) fn decode_column_blob_loc(blob: &[u8], loc: &BlobLoc) -> Result<Chunk
     Ok(col)
 }
 
-/// Decode just the packed values of one column blob straight into a
-/// caller-provided scratch vector — the decode-into-scratch path for
-/// consumers that block-decode anyway ([`inspect`], the decode bench),
-/// skipping the [`crate::bitpack::BitPacked`] repack. Works for raw and
-/// codec-compressed blobs alike; `expected_rows` is the footer's row
-/// count for the chunk, cross-checked against the section's own declared
-/// length before any output allocation.
-pub(crate) fn decode_column_values_into(
-    blob: &[u8],
-    loc: &BlobLoc,
-    expected_rows: u64,
-    values: &mut Vec<u64>,
-) -> Result<()> {
-    let mut buf = blob;
-    let header_len = match get_u8(&mut buf)? {
-        1 => {
-            let n = get_u32(&mut buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk dictionary count {n} overruns input"
-                )));
-            }
-            let mut gids = Vec::with_capacity(n);
-            for _ in 0..n {
-                gids.push(get_u32(&mut buf)?);
-            }
-            let dict = ChunkDict::from_sorted(gids)?;
-            5 + 4 * dict.len() as u64
-        }
-        2 => {
-            get_i64(&mut buf)?;
-            get_i64(&mut buf)?;
-            17
-        }
-        t => return Err(StorageError::Corrupt(format!("bad column tag {t}"))),
-    };
-    codec::decode_section_into(
-        loc.codec,
-        buf,
-        section_len(loc, header_len)?,
-        Some(expected_rows),
-        values,
-    )?;
-    Ok(())
+/// Decode the packed-array section that follows a column blob's
+/// `header_len`-byte raw header.
+fn decode_section(mut buf: &[u8], loc: &BlobLoc, header_len: u64) -> Result<BitPacked> {
+    if loc.codec != Codec::Raw {
+        return codec::decode_array(loc.codec, buf, section_len(loc, header_len)?);
+    }
+    let packed = read_packed(&mut buf)?;
+    if buf.has_remaining() {
+        return Err(StorageError::Corrupt(format!(
+            "{} trailing bytes after column payload",
+            buf.remaining()
+        )));
+    }
+    Ok(packed)
 }
 
 /// The raw packed-section length a blob's footer record implies once its
@@ -1736,19 +1491,6 @@ fn read_meta(buf: &mut &[u8]) -> Result<ColumnMeta> {
     }
 }
 
-/// The base (stats-less) fields of an index entry, shared by the v2 and v3
-/// footers.
-fn write_entry_base(buf: &mut BytesMut, entry: &ChunkIndexEntry) {
-    buf.put_u64_le(entry.num_rows);
-    buf.put_u64_le(entry.num_users);
-    buf.put_u64_le(entry.time_min as u64);
-    buf.put_u64_le(entry.time_max as u64);
-    buf.put_u32_le(entry.action_gids.len() as u32);
-    for gid in &entry.action_gids {
-        buf.put_u32_le(*gid);
-    }
-}
-
 fn write_column_stats(buf: &mut BytesMut, stats: &ColumnStats) {
     match stats {
         ColumnStats::User => buf.put_u8(0),
@@ -1815,34 +1557,14 @@ fn write_rle_blob(buf: &mut BytesMut, rle: &UserRle) {
     write_packed(buf, counts);
 }
 
-/// One column segment, tagged (1 = string, 2 = integer).
-fn write_column_blob(buf: &mut BytesMut, col: &ChunkColumn) {
-    match col {
-        ChunkColumn::Str { dict, codes } => {
-            buf.put_u8(1);
-            buf.put_u32_le(dict.len() as u32);
-            for gid in dict.global_ids() {
-                buf.put_u32_le(*gid);
-            }
-            write_packed(buf, codes);
-        }
-        ChunkColumn::Int { min, max, deltas } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*min as u64);
-            buf.put_u64_le(*max as u64);
-            write_packed(buf, deltas);
-        }
-    }
-}
-
-/// One column segment with v4 codec selection on its packed-array section:
-/// the tag + dictionary / min-max header stays raw (it is a few bytes and
-/// the footer parser needs nothing from it), then the bit-packed array is
-/// written with whichever codec [`codec::encode_array`] picked. Returns the
-/// chosen codec and the exact length the blob would have serialized to raw
-/// (the v3 length), which the footer records as `uncompressed`. A blob
-/// whose section stays [`Codec::Raw`] is byte-identical to its v3 form.
-fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
+/// One column segment, tagged (1 = string, 2 = integer): the tag +
+/// dictionary / min-max header stays raw (it is a few bytes and the footer
+/// parser needs nothing from it), then the bit-packed array is written raw
+/// at v3, or at v4 with whichever codec [`codec::encode_array`] picked.
+/// Returns the codec and the exact length the blob serializes to raw (the
+/// v3 length), which the footer records as `uncompressed`. A blob whose
+/// section stays [`Codec::Raw`] is byte-identical to its v3 form.
+fn write_column_blob(buf: &mut BytesMut, col: &ChunkColumn, version: u32) -> (Codec, u64) {
     let (packed, header_len) = match col {
         ChunkColumn::Str { dict, codes } => {
             buf.put_u8(1);
@@ -1859,69 +1581,14 @@ fn write_column_blob_v4(buf: &mut BytesMut, col: &ChunkColumn) -> (Codec, u64) {
             (deltas, 17u64)
         }
     };
+    let uncompressed = header_len + codec::raw_section_len(packed.width(), packed.len() as u64);
+    if version < 4 {
+        write_packed(buf, packed);
+        return (Codec::Raw, uncompressed);
+    }
     let (chosen, section) = codec::encode_array(packed);
     buf.put_slice(&section);
-    (chosen, header_len + codec::raw_section_len(packed.width(), packed.len() as u64))
-}
-
-/// One tagged column segment (0 = absent, 1 = string, 2 = integer).
-fn read_column(buf: &mut &[u8]) -> Result<Option<ChunkColumn>> {
-    match get_u8(buf)? {
-        0 => Ok(None),
-        1 => {
-            let n = get_u32(buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(StorageError::Corrupt(format!(
-                    "chunk dictionary count {n} overruns input"
-                )));
-            }
-            let mut gids = Vec::with_capacity(n);
-            for _ in 0..n {
-                gids.push(get_u32(buf)?);
-            }
-            let dict = ChunkDict::from_sorted(gids)?;
-            let codes = read_packed(buf)?;
-            Ok(Some(ChunkColumn::Str { dict, codes }))
-        }
-        2 => {
-            let min = get_i64(buf)?;
-            let max = get_i64(buf)?;
-            let deltas = read_packed(buf)?;
-            Ok(Some(ChunkColumn::Int { min, max, deltas }))
-        }
-        t => Err(StorageError::Corrupt(format!("bad column tag {t}"))),
-    }
-}
-
-/// One whole chunk as a self-contained blob (the v1/v2 chunk encoding).
-fn write_chunk(buf: &mut BytesMut, chunk: &Chunk) {
-    write_rle_blob(buf, chunk.user_rle());
-    buf.put_u16_le(chunk.columns().len() as u16);
-    for col in chunk.columns() {
-        match col {
-            None => buf.put_u8(0),
-            Some(col) => write_column_blob(buf, col),
-        }
-    }
-}
-
-fn read_chunk(buf: &mut &[u8], arity: usize) -> Result<Chunk> {
-    let users = read_packed(buf)?;
-    let firsts = read_packed(buf)?;
-    let counts = read_packed(buf)?;
-    let rle = UserRle::from_parts(users, firsts, counts)?;
-    if buf.remaining() < 2 {
-        return Err(StorageError::Corrupt("unexpected end of input".into()));
-    }
-    let ncols = buf.get_u16_le() as usize;
-    if ncols != arity {
-        return Err(StorageError::Corrupt(format!("chunk has {ncols} columns, schema {arity}")));
-    }
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(read_column(buf)?);
-    }
-    Chunk::new(rle, columns)
+    (chosen, uncompressed)
 }
 
 #[cfg(test)]
@@ -1986,28 +1653,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_bytes_v2() {
-        let c = compressed();
-        let bytes = to_bytes_v2(&c);
-        assert_eq!(&bytes[4..8], 2u32.to_le_bytes());
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_rows(), c.num_rows());
-        assert_eq!(back.chunks(), c.chunks());
-        assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
-    }
-
-    #[test]
-    fn roundtrip_bytes_v1() {
-        let c = compressed();
-        let bytes = to_bytes_v1(&c);
-        assert_eq!(&bytes[4..8], 1u32.to_le_bytes());
-        let back = from_bytes(&bytes).unwrap();
-        assert_eq!(back.num_rows(), c.num_rows());
-        assert_eq!(back.chunks(), c.chunks());
-        assert_eq!(back.decompress().unwrap().rows(), c.decompress().unwrap().rows());
-    }
-
-    #[test]
     fn v4_header_declares_version_4() {
         let bytes = to_bytes(&compressed());
         assert_eq!(&bytes[0..4], MAGIC.to_le_bytes());
@@ -2031,7 +1676,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
+        for writer in [to_bytes, to_bytes_v3] {
             let mut bytes = writer(&compressed()).to_vec();
             bytes[0] ^= 0xFF;
             assert!(matches!(from_bytes(&bytes).unwrap_err(), StorageError::Corrupt(_)));
@@ -2040,7 +1685,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_tail_magic() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
+        for writer in [to_bytes, to_bytes_v3] {
             let mut bytes = writer(&compressed()).to_vec();
             let last = bytes.len() - 1;
             bytes[last] ^= 0xFF;
@@ -2053,11 +1698,46 @@ mod tests {
         let mut bytes = to_bytes(&compressed()).to_vec();
         bytes[4] = 99;
         assert!(matches!(from_bytes(&bytes).unwrap_err(), StorageError::BadVersion(99)));
+
+        // The retired v1/v2 formats: a full image under a v1/v2 header, and
+        // a bare header, are rejected with the conversion hint by every
+        // reader in this module — before any length or footer check.
+        let dir = std::env::temp_dir().join("cohana-persist-retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        for version in [1u32, 2] {
+            let mut image = to_bytes(&compressed()).to_vec();
+            image[4..8].copy_from_slice(&version.to_le_bytes());
+            for (kind, bytes) in [("image", &image[..]), ("header", &image[..8])] {
+                let path = dir.join(format!("v{version}-{kind}.cohana"));
+                std::fs::write(&path, bytes).unwrap();
+                let errors = [
+                    ("from_bytes", from_bytes(bytes).err()),
+                    ("read_file", read_file(&path).err()),
+                    ("inspect", inspect(&path).err()),
+                    ("file_space_stats", file_space_stats(&path).err()),
+                    ("compact", compact(&path).err()),
+                ];
+                for (entry, err) in errors {
+                    match err {
+                        Some(StorageError::Unsupported(msg)) => assert!(
+                            msg.contains(&format!("version {version}"))
+                                && msg.contains(CONVERSION_HINT),
+                            "{entry} v{version} {kind}: no conversion hint: {msg}"
+                        ),
+                        other => {
+                            panic!("{entry} v{version} {kind}: expected Unsupported, {other:?}")
+                        }
+                    }
+                }
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "a rejected file is untouched");
+                std::fs::remove_file(&path).ok();
+            }
+        }
     }
 
     #[test]
     fn rejects_truncation_everywhere() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
+        for writer in [to_bytes, to_bytes_v3] {
             let bytes = writer(&compressed()).to_vec();
             // Truncating at any prefix must error, never panic.
             for cut in (0..bytes.len().min(400)).chain([bytes.len() - 1]) {
@@ -2068,40 +1748,12 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        // v1 detects trailing bytes directly; the footered formats' tail
-        // magic lands on the wrong bytes once anything is appended.
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2, to_bytes_v1] {
+        // The tail magic lands on the wrong bytes once anything is appended.
+        for writer in [to_bytes, to_bytes_v3] {
             let mut bytes = writer(&compressed()).to_vec();
             bytes.push(0);
             assert!(from_bytes(&bytes).is_err());
         }
-    }
-
-    /// Byte size of one v2 footer entry.
-    fn v2_entry_size(e: &ChunkIndexEntry) -> usize {
-        52 + 4 * e.action_gids.len()
-    }
-
-    #[test]
-    fn rejects_crafted_overflow_locations_v2() {
-        // A footer whose first chunk length is near u64::MAX so that
-        // `offset + len` wraps past the bound check, with the second entry
-        // repaired to keep the tiling chain consistent. Must be rejected by
-        // the subtraction-based bound check, never reach the slicing code.
-        let c = compressed();
-        assert!(c.chunks().len() >= 2);
-        let bytes = to_bytes_v2(&c).to_vec();
-        let tail = bytes.len() - 12;
-        let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
-        let footer_start = (tail - footer_len) as u64;
-        let entries_size: usize = c.index_entries().iter().map(v2_entry_size).sum();
-        let e0 = tail - entries_size;
-        let e1 = e0 + v2_entry_size(&c.index_entries()[0]);
-        let mut crafted = bytes.clone();
-        crafted[e0 + 8..e0 + 16].copy_from_slice(&(u64::MAX - 7).to_le_bytes());
-        crafted[e1..e1 + 8].copy_from_slice(&0u64.to_le_bytes());
-        crafted[e1 + 8..e1 + 16].copy_from_slice(&footer_start.to_le_bytes());
-        assert!(matches!(from_bytes(&crafted), Err(StorageError::Corrupt(_))));
     }
 
     /// Byte size of one v3 footer entry.
@@ -2197,8 +1849,8 @@ mod tests {
         // width/length no longer matches — the decoder must reject it.
         let c = compressed_large();
         let bytes = to_bytes(&c).to_vec();
-        let footer = parse_footer_region(&bytes, 4).unwrap();
-        let layouts = footer.layouts.as_ref().unwrap();
+        let footer = parse_footer_region(&bytes).unwrap();
+        let layouts = &footer.layouts;
         let arity = c.schema().arity();
         let mut entry_start = v4_first_entry_offset(&c, &bytes);
         let mut target = None;
@@ -2300,7 +1952,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_chunk_size_footer() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
+        for writer in [to_bytes, to_bytes_v3] {
             let bytes = writer(&compressed()).to_vec();
             let tail = bytes.len() - 12;
             let footer_len = u64::from_le_bytes(bytes[tail..tail + 8].try_into().unwrap()) as usize;
@@ -2313,7 +1965,7 @@ mod tests {
 
     #[test]
     fn rejects_tampered_footer_index() {
-        for writer in [to_bytes, to_bytes_v3, to_bytes_v2] {
+        for writer in [to_bytes, to_bytes_v3] {
             let c = compressed();
             let bytes = writer(&c).to_vec();
             // Locate the footer and flip one byte inside it; either the
@@ -2337,12 +1989,10 @@ mod tests {
     #[test]
     fn all_versions_decode_identically() {
         let c = compressed();
-        let v2 = from_bytes(&to_bytes_v2(&c)).unwrap();
         let v3 = from_bytes(&to_bytes_v3(&c)).unwrap();
         let v4 = from_bytes(&to_bytes(&c)).unwrap();
-        assert_eq!(v2.chunks(), v3.chunks());
         assert_eq!(v3.chunks(), v4.chunks());
-        assert_eq!(v2.schema(), v4.schema());
-        assert_eq!(v2.num_rows(), v4.num_rows());
+        assert_eq!(v3.schema(), v4.schema());
+        assert_eq!(v3.num_rows(), v4.num_rows());
     }
 }

@@ -10,11 +10,11 @@
 //!   *every* chunk without touching chunk payloads;
 //! * [`ChunkSource::chunk`] materializes one chunk's payload on demand;
 //! * [`ChunkSource::chunk_columns`] materializes only the columns named by
-//!   the plan's projection list — on a v3 column-addressable file, columns
-//!   the query never names are never read from disk.
+//!   the plan's projection list — on a column-addressable (v3/v4) file,
+//!   columns the query never names are never read from disk.
 //!
 //! Two implementations exist: [`CompressedTable`] (everything resident in
-//! memory — `chunk` is a borrow) and [`FileSource`] (a footer-indexed v2/v3
+//! memory — `chunk` is a borrow) and [`FileSource`] (a footer-indexed v3/v4
 //! file — segments are seeked, read, and decoded on demand and retained in a
 //! **bounded, byte-budgeted LRU cache** over `(chunk, column)` entries, so a
 //! table much larger than RAM can be queried within a fixed memory budget).
@@ -28,7 +28,7 @@ use crate::column::ChunkColumn;
 use crate::persist::{self, ChunkLayout};
 use crate::record;
 use crate::rle::UserRle;
-use crate::table::{validate_chunk, validate_column, validate_rle, CompressedTable, TableMeta};
+use crate::table::{validate_column, validate_rle, CompressedTable, TableMeta};
 use crate::{Result, StorageError};
 use cohana_activity::Schema;
 use std::collections::HashMap;
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Per-column statistics recorded in a v3 footer's [`ChunkIndexEntry`]: the
+/// Per-column statistics recorded in a footer's [`ChunkIndexEntry`]: the
 /// analogue of Parquet's `ColumnChunkMetaData` statistics, computable from
 /// the chunk payload and therefore verifiable after a lazy decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,9 +65,8 @@ pub enum ColumnStats {
 /// Per-chunk metadata: everything the executor needs to decide whether a
 /// chunk can contribute to a query, without loading the chunk itself. The
 /// persistence footer stores one entry per chunk (the analogue of Parquet's
-/// `RowGroupMetaData` + the column-chunk statistics it wraps). v3 footers
-/// additionally record one [`ColumnStats`] per attribute; v2 footers predate
-/// column stats and leave the vector empty.
+/// `RowGroupMetaData` + the column-chunk statistics it wraps), including
+/// one [`ColumnStats`] per attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkIndexEntry {
     /// Tuples in the chunk.
@@ -81,8 +80,7 @@ pub struct ChunkIndexEntry {
     /// The chunk's action dictionary: sorted global ids of every action that
     /// occurs in the chunk. Membership here decides birth-action pruning.
     pub action_gids: Vec<u32>,
-    /// Per-attribute statistics (one per schema position; empty for entries
-    /// parsed from v2 footers, which do not record them).
+    /// Per-attribute statistics, one per schema position.
     pub column_stats: Vec<ColumnStats>,
 }
 
@@ -124,18 +122,6 @@ impl ChunkIndexEntry {
         }
     }
 
-    /// Whether this (possibly untrusted, footer-parsed) entry agrees with an
-    /// entry recomputed from the decoded payload. Entries from v2 footers
-    /// carry no column stats; those compare on the base fields only.
-    pub fn matches(&self, computed: &ChunkIndexEntry) -> bool {
-        self.num_rows == computed.num_rows
-            && self.num_users == computed.num_users
-            && self.time_min == computed.time_min
-            && self.time_max == computed.time_max
-            && self.action_gids == computed.action_gids
-            && (self.column_stats.is_empty() || self.column_stats == computed.column_stats)
-    }
-
     /// Whether any tuple in the chunk performs the action with this global
     /// id.
     pub fn has_action(&self, gid: u32) -> bool {
@@ -148,22 +134,20 @@ impl ChunkIndexEntry {
     }
 }
 
-/// A loaded chunk: borrowed from a resident table, owned by the caller, or
-/// shared with a bounded cache.
+/// A loaded chunk: borrowed from a resident table, or assembled for the
+/// caller.
 ///
-/// `Owned` and `Shared` are what make cache eviction possible: a source that
-/// hands out only `&self`-lifetime borrows is forced to retain every decode
-/// for its whole life. [`FileSource`] returns `Shared`/`Owned` values whose
-/// segments are reference-counted with the cache, so eviction never
-/// invalidates an in-flight chunk.
+/// `Owned` is what makes cache eviction possible: a source that hands out
+/// only `&self`-lifetime borrows is forced to retain every decode for its
+/// whole life. [`FileSource`] returns `Owned` chunks whose segments are
+/// reference-counted with the cache, so eviction never invalidates an
+/// in-flight chunk.
 pub enum ChunkRef<'a> {
     /// Chunk resident in the source (memory table).
     Borrowed(&'a Chunk),
     /// Chunk assembled for this call (segments may still be shared with the
     /// source's cache via `Arc`).
     Owned(Box<Chunk>),
-    /// Whole chunk shared with the source's cache.
-    Shared(Arc<Chunk>),
 }
 
 impl Deref for ChunkRef<'_> {
@@ -172,7 +156,6 @@ impl Deref for ChunkRef<'_> {
         match self {
             ChunkRef::Borrowed(c) => c,
             ChunkRef::Owned(c) => c,
-            ChunkRef::Shared(c) => c,
         }
     }
 }
@@ -206,22 +189,21 @@ impl CodecDecode {
 /// assert that pruning and projection pushdown actually avoided work.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SourceIoStats {
-    /// Chunks whose skeleton (RLE user column, or the whole blob on v2) was
-    /// decoded from backing storage.
+    /// Chunks whose skeleton (the RLE user column) was decoded from backing
+    /// storage.
     pub chunks_decoded: usize,
-    /// Individual column segments decoded (v3 sources; 0 on v2, which only
-    /// decodes whole chunks).
+    /// Individual column segments decoded.
     pub columns_decoded: usize,
     /// Payload bytes read from backing storage (excludes the footer). With
     /// v4 codec-compressed blobs these are *on-disk* (compressed) bytes.
     pub bytes_read: u64,
     /// Bytes the read blobs decode to — their raw (v3-serialized) size.
-    /// Equals `bytes_read` on v1–v3 sources, whose blobs are stored raw;
+    /// Equals `bytes_read` on v3 sources, whose blobs are stored raw;
     /// the gap between the two is what the v4 codecs saved on the disk
     /// path.
     pub bytes_decompressed: u64,
     /// Per-codec decode throughput counters, indexed by codec tag (raw,
-    /// delta, ans). RLE and whole-chunk (v2) blobs count under raw.
+    /// delta, ans). RLE blobs count under raw.
     pub decode: [CodecDecode; 3],
     /// Cache entries evicted to stay within the byte budget.
     pub cache_evictions: u64,
@@ -342,16 +324,15 @@ fn same_inode(_a: &File, _b: &File) -> bool {
 }
 
 /// Cache key: `(source id, chunk index, segment id)` where segment 0 is the
-/// whole chunk (v2), 1 the RLE user column, and `2 + attr` a column segment.
+/// RLE user column and `1 + attr` a column segment.
 /// The source id disambiguates entries when several [`FileSource`]s — the
 /// shards of one sharded table — share a single byte-budgeted cache.
 type SegKey = (u32, u32, u32);
 
-const SEG_WHOLE: u32 = 0;
-const SEG_RLE: u32 = 1;
+const SEG_RLE: u32 = 0;
 
 fn seg_col(attr: usize) -> u32 {
-    2 + attr as u32
+    1 + attr as u32
 }
 
 /// One decoded segment retained by the cache. Cloning is an `Arc` bump.
@@ -359,7 +340,6 @@ fn seg_col(attr: usize) -> u32 {
 enum CacheSlot {
     Rle(Arc<UserRle>),
     Col(Arc<ChunkColumn>),
-    Whole(Arc<Chunk>),
 }
 
 struct CacheEntry {
@@ -457,15 +437,13 @@ pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
     Arc::new(Mutex::new(SegmentCache::new(budget)))
 }
 
-/// A lazily-loaded, file-backed table in the footer-indexed v2 or v3
+/// A lazily-loaded, file-backed table in the column-addressable v3/v4
 /// format.
 ///
 /// [`FileSource::open`] reads only the 8-byte header and the footer — O(1)
-/// in the number of tuples. On a v3 file every chunk's columns are
-/// independently addressable: [`FileSource::chunk_columns`] seeks and
-/// decodes only the RLE user column plus the projected column segments. On
-/// a v2 file (whole-chunk blobs) any access degrades to fetching the full
-/// chunk. Decoded segments live in a bounded byte-budgeted LRU cache
+/// in the number of tuples. Every chunk's columns are independently
+/// addressable: [`FileSource::chunk_columns`] seeks and decodes only the RLE
+/// user column plus the projected column segments. Decoded segments live in a bounded byte-budgeted LRU cache
 /// ([`FileSource::open_with_budget`]) so resident memory never exceeds the
 /// configured budget regardless of table size.
 #[derive(Debug)]
@@ -474,10 +452,8 @@ pub struct FileSource {
     file: Mutex<File>,
     meta: TableMeta,
     entries: Vec<ChunkIndexEntry>,
-    /// Byte `(offset, length)` of each chunk's full payload span.
-    locations: Vec<(u64, u64)>,
-    /// Per-chunk blob layout (`Some` for v3 column-addressable files).
-    layouts: Option<Vec<ChunkLayout>>,
+    /// Per-chunk blob layout.
+    layouts: Vec<ChunkLayout>,
     /// Non-current dictionary epochs of an appended file (see
     /// [`persist::append`]): chunks encoded under an older dictionary are
     /// re-based through their epoch's gid remaps at decode time.
@@ -552,12 +528,11 @@ impl std::fmt::Debug for SegmentCache {
 }
 
 impl FileSource {
-    /// Open a v2/v3 file by reading its footer, with the default cache
+    /// Open a v3/v4 file by reading its footer, with the default cache
     /// budget ([`DEFAULT_CACHE_BUDGET`]); no chunk data is touched.
     ///
-    /// Returns [`StorageError::Unsupported`] for v1 files, which have no
-    /// footer: load those eagerly with [`persist::read_file`] and re-save to
-    /// migrate them.
+    /// Returns [`StorageError::Unsupported`] for files in the retired v1/v2
+    /// formats.
     pub fn open(path: &Path) -> Result<FileSource> {
         Self::open_with_budget(path, DEFAULT_CACHE_BUDGET)
     }
@@ -586,7 +561,6 @@ impl FileSource {
             file: Mutex::new(file),
             meta: footer.meta,
             entries: footer.entries,
-            locations: footer.locations,
             layouts: footer.layouts,
             epochs: footer.epochs,
             chunk_epochs: footer.chunk_epochs,
@@ -610,19 +584,13 @@ impl FileSource {
     /// terms); segment payloads are rewritten lazily at decode time, after
     /// any epoch remap, so the footer cross-checks keep holding.
     ///
-    /// Only column-addressable (v3/v4) files can be re-based, and a re-based
-    /// source can no longer [`refresh`](FileSource::refresh) — its shard
-    /// manifest owner reopens it instead.
+    /// A re-based source can no longer [`refresh`](FileSource::refresh) —
+    /// its shard manifest owner reopens it instead.
     pub(crate) fn rebase(
         &mut self,
         meta: TableMeta,
         overlay: Vec<Option<Arc<Vec<u32>>>>,
     ) -> Result<()> {
-        if self.layouts.is_none() {
-            return Err(StorageError::Unsupported(
-                "only column-addressable (v3/v4) files can join a sharded table".into(),
-            ));
-        }
         if overlay.len() != meta.schema().arity() {
             return Err(StorageError::Invalid(format!(
                 "rebase overlay has {} attributes, schema has {}",
@@ -684,7 +652,7 @@ impl FileSource {
         }
         let mut file = File::open(&self.path)?;
         let footer = persist::read_footer_from_file(&mut file)?;
-        let chunks_before = self.locations.len();
+        let chunks_before = self.layouts.len();
 
         let grown_in_place = same_inode(&self.file.lock().expect("file lock poisoned"), &file);
         let same_remap = |chunk: usize, attr: usize| {
@@ -692,6 +660,7 @@ impl FileSource {
                 == footer.remap_for(chunk, attr).map(|r| r.as_slice())
         };
         let arity = footer.meta.schema().arity();
+        let user_idx = footer.meta.schema().user_idx();
 
         let segments_invalidated = {
             let mut cache = self.cache.lock().expect("cache lock poisoned");
@@ -700,25 +669,20 @@ impl FileSource {
             let mut dropped = 0usize;
             for key in keys {
                 let (chunk, seg) = (key.1 as usize, key.2);
+                let (old, new) = (self.layouts.get(chunk), footer.layouts.get(chunk));
                 let keep = grown_in_place
-                    && match (seg, &self.layouts, &footer.layouts) {
-                        (SEG_WHOLE, None, None) => {
-                            self.locations.get(chunk).is_some()
-                                && self.locations.get(chunk) == footer.locations.get(chunk)
+                    && match seg {
+                        SEG_RLE => {
+                            matches!((old, new), (Some(a), Some(b)) if a.rle == b.rle)
+                                && same_remap(chunk, user_idx)
                         }
-                        (SEG_RLE, Some(old), Some(new)) => {
-                            matches!((old.get(chunk), new.get(chunk)),
-                            (Some(a), Some(b)) if a.rle == b.rle)
-                                && same_remap(chunk, footer.meta.schema().user_idx())
-                        }
-                        (col, Some(old), Some(new)) if col >= 2 => {
-                            let attr = (col - 2) as usize;
+                        col => {
+                            let attr = (col - 1) as usize;
                             attr < arity
-                                && matches!((old.get(chunk), new.get(chunk)),
+                                && matches!((old, new),
                                 (Some(a), Some(b)) if a.cols.get(attr) == b.cols.get(attr))
                                 && same_remap(chunk, attr)
                         }
-                        _ => false,
                     };
                 if !keep && cache.remove(&key) {
                     dropped += 1;
@@ -727,10 +691,9 @@ impl FileSource {
             dropped
         };
 
-        let chunks_after = footer.locations.len();
+        let chunks_after = footer.layouts.len();
         self.meta = footer.meta;
         self.entries = footer.entries;
-        self.locations = footer.locations;
         self.layouts = footer.layouts;
         self.epochs = footer.epochs;
         self.chunk_epochs = footer.chunk_epochs;
@@ -752,11 +715,6 @@ impl FileSource {
     /// The file backing this source.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Whether the backing file addresses each column independently (v3).
-    pub fn is_column_addressable(&self) -> bool {
-        self.layouts.is_some()
     }
 
     /// How many of this source's chunks currently have at least one cached
@@ -787,12 +745,12 @@ impl FileSource {
     }
 
     /// Raw bytes the blobs read so far decoded to (equals
-    /// [`FileSource::bytes_read`] on v1–v3 files, whose blobs are raw).
+    /// [`FileSource::bytes_read`] on v3 files, whose blobs are raw).
     pub fn bytes_decompressed(&self) -> u64 {
         self.bytes_decompressed.load(Ordering::Relaxed)
     }
 
-    /// Column segments decoded so far (v3; 0 on v2 files).
+    /// Column segments decoded so far.
     pub fn columns_decoded(&self) -> usize {
         self.columns_decoded.load(Ordering::Relaxed)
     }
@@ -829,7 +787,7 @@ impl FileSource {
         Ok(buf)
     }
 
-    /// Fetch (cache or decode) the RLE user column of a v3 chunk.
+    /// Fetch (cache or decode) the RLE user column of a chunk.
     fn fetch_rle(&self, idx: usize, layout: &ChunkLayout) -> Result<Arc<UserRle>> {
         let key = (self.cache_id, idx as u32, SEG_RLE);
         if let Some(CacheSlot::Rle(rle)) = self.cache.lock().expect("cache lock poisoned").get(key)
@@ -868,7 +826,7 @@ impl FileSource {
         Ok(rle)
     }
 
-    /// Fetch (cache or decode) one column segment of a v3 chunk, verifying
+    /// Fetch (cache or decode) one column segment of a chunk, verifying
     /// it against the footer's per-column statistics.
     fn fetch_column(
         &self,
@@ -906,7 +864,7 @@ impl FileSource {
         }
         // The footer's stats steered pruning before any I/O; now that the
         // payload is decoded they must agree with it — the per-column
-        // analogue of the whole-chunk footer/payload comparison.
+        // analogue of the eager path's footer/payload comparison.
         let stats_ok = match (entry.column_stats.get(attr), &col) {
             (Some(ColumnStats::Str { distinct }), ChunkColumn::Str { dict, .. }) => {
                 *distinct as usize == dict.len()
@@ -947,15 +905,9 @@ impl FileSource {
         Ok(col)
     }
 
-    /// Assemble a (possibly partial) chunk from a v3 file: RLE + the
-    /// requested columns.
-    fn assemble_v3(
-        &self,
-        idx: usize,
-        layouts: &[ChunkLayout],
-        cols: &[usize],
-    ) -> Result<ChunkRef<'_>> {
-        let layout = &layouts[idx];
+    /// Assemble a (possibly partial) chunk: RLE + the requested columns.
+    fn assemble(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
+        let layout = &self.layouts[idx];
         let arity = self.meta.schema().arity();
         let user_idx = self.meta.schema().user_idx();
         let rle = self.fetch_rle(idx, layout)?;
@@ -974,43 +926,6 @@ impl FileSource {
         Ok(ChunkRef::Owned(Box::new(Chunk::from_shared(rle, columns)?)))
     }
 
-    /// Fetch and decode one whole v2 chunk blob.
-    fn whole_chunk_v2(&self, idx: usize) -> Result<ChunkRef<'_>> {
-        let key = (self.cache_id, idx as u32, SEG_WHOLE);
-        if let Some(CacheSlot::Whole(chunk)) =
-            self.cache.lock().expect("cache lock poisoned").get(key)
-        {
-            return Ok(ChunkRef::Shared(chunk));
-        }
-        let (offset, len) = self.locations[idx];
-        let blob = self.read_range(offset, len)?;
-        self.bytes_decompressed.fetch_add(len, Ordering::Relaxed);
-        record::credit(|r| r.add_bytes_decompressed(len));
-        let start = std::time::Instant::now();
-        let chunk = persist::decode_chunk_blob(&blob, self.meta.schema().arity())?;
-        self.decode_cells[0].add(len, start.elapsed().as_nanos() as u64);
-        validate_chunk(&self.meta, idx, &chunk)?;
-        // The footer's index entry is untrusted input that already steered
-        // pruning; now that the payload is decoded, the whole entry must
-        // agree with it (row/user counts, time bounds, action dictionary).
-        if !self.entries[idx].matches(&ChunkIndexEntry::of_chunk(&chunk, self.meta.schema())) {
-            return Err(StorageError::Corrupt(format!(
-                "chunk {idx}: footer index entry disagrees with chunk payload"
-            )));
-        }
-        self.decoded.fetch_add(1, Ordering::Relaxed);
-        record::credit(|r| r.add_chunks_decoded(1));
-        let chunk = Arc::new(chunk);
-        let bytes = chunk.packed_bytes();
-        let evicted = self.cache.lock().expect("cache lock poisoned").insert(
-            key,
-            CacheSlot::Whole(chunk.clone()),
-            bytes,
-        );
-        record::credit(|r| r.add_cache_evictions(evicted));
-        Ok(ChunkRef::Shared(chunk))
-    }
-
     /// Snapshot of the per-codec decode counters (indexed by codec tag).
     pub(crate) fn decode_stats(&self) -> [CodecDecode; 3] {
         std::array::from_fn(|i| self.decode_cells[i].snapshot())
@@ -1023,7 +938,7 @@ impl ChunkSource for FileSource {
     }
 
     fn num_chunks(&self) -> usize {
-        self.locations.len()
+        self.layouts.len()
     }
 
     fn index_entry(&self, idx: usize) -> &ChunkIndexEntry {
@@ -1031,22 +946,12 @@ impl ChunkSource for FileSource {
     }
 
     fn chunk(&self, idx: usize) -> Result<ChunkRef<'_>> {
-        match &self.layouts {
-            Some(layouts) => {
-                let all: Vec<usize> = (0..self.meta.schema().arity()).collect();
-                self.assemble_v3(idx, layouts, &all)
-            }
-            None => self.whole_chunk_v2(idx),
-        }
+        let all: Vec<usize> = (0..self.meta.schema().arity()).collect();
+        self.assemble(idx, &all)
     }
 
     fn chunk_columns(&self, idx: usize, cols: &[usize]) -> Result<ChunkRef<'_>> {
-        match &self.layouts {
-            Some(layouts) => self.assemble_v3(idx, layouts, cols),
-            // v2 blobs are not column-addressable: degrade to a whole-chunk
-            // fetch, which materializes a superset of `cols`.
-            None => self.whole_chunk_v2(idx),
-        }
+        self.assemble(idx, cols)
     }
 
     fn chunks_decoded(&self) -> usize {
@@ -1133,22 +1038,6 @@ mod tests {
     }
 
     #[test]
-    fn stat_less_entry_matches_computed() {
-        let c = compressed();
-        let computed = &c.index_entries()[0];
-        let mut statless = computed.clone();
-        statless.column_stats.clear();
-        assert!(statless.matches(computed));
-        assert!(computed.matches(computed));
-        let mut wrong = computed.clone();
-        wrong.num_users += 1;
-        assert!(!wrong.matches(computed));
-        let mut wrong_stats = computed.clone();
-        wrong_stats.column_stats[1] = ColumnStats::Int { min: -1, max: -1 };
-        assert!(!wrong_stats.matches(computed));
-    }
-
-    #[test]
     fn memory_source_borrows_everything() {
         let c = compressed();
         let src: &dyn ChunkSource = &c;
@@ -1172,7 +1061,6 @@ mod tests {
         persist::write_file(&c, &path).unwrap();
 
         let src = FileSource::open(&path).unwrap();
-        assert!(src.is_column_addressable());
         assert_eq!(src.num_chunks(), c.chunks().len());
         assert_eq!(src.table_meta().num_rows(), c.num_rows());
         assert_eq!(src.chunks_decoded(), 0);
@@ -1236,37 +1124,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_file_source_degrades_to_whole_chunk_fetch() {
-        let c = compressed();
-        let path = temp_path("lazy-v2.cohana");
-        std::fs::write(&path, persist::to_bytes_v2(&c)).unwrap();
-
-        let src = FileSource::open(&path).unwrap();
-        assert!(!src.is_column_addressable());
-        let chunk = src.chunk_columns(1, &[c.schema().time_idx()]).unwrap();
-        // The whole chunk is materialized despite the narrow projection.
-        assert_eq!(&*chunk, &c.chunks()[1]);
-        drop(chunk);
-        assert_eq!(src.chunks_decoded(), 1);
-        assert_eq!(src.columns_decoded(), 0);
-
-        // v2 entries carry no column stats.
-        assert!(src.index_entry(0).column_stats.is_empty());
-
-        // Cached: a second fetch decodes nothing.
-        let again = src.chunk(1).unwrap();
-        assert!(matches!(again, ChunkRef::Shared(_)));
-        drop(again);
-        assert_eq!(src.chunks_decoded(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn cache_respects_byte_budget_for_both_versions() {
         let c = compressed();
         for (name, bytes) in [
-            ("budget-v3.cohana", persist::to_bytes(&c)),
-            ("budget-v2.cohana", persist::to_bytes_v2(&c)),
+            ("budget-v4.cohana", persist::to_bytes(&c)),
+            ("budget-v3.cohana", persist::to_bytes_v3(&c)),
         ] {
             let path = temp_path(name);
             std::fs::write(&path, &bytes).unwrap();
@@ -1306,12 +1168,20 @@ mod tests {
 
     #[test]
     fn file_source_rejects_v1_files() {
-        let c = compressed();
-        let path = temp_path("v1.cohana");
-        std::fs::write(&path, persist::to_bytes_v1(&c)).unwrap();
-        assert!(matches!(FileSource::open(&path).unwrap_err(), StorageError::Unsupported(_)));
-        // Eager loading still understands v1.
-        assert_eq!(persist::read_file(&path).unwrap().num_rows(), c.num_rows());
-        std::fs::remove_file(&path).ok();
+        // The retired v1/v2 formats (no writer remains: relabel a v4 image)
+        // are refused at open, with the conversion hint.
+        for version in [1u32, 2] {
+            let mut bytes = persist::to_bytes(&compressed()).to_vec();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let path = temp_path(&format!("v{version}.cohana"));
+            std::fs::write(&path, &bytes).unwrap();
+            match FileSource::open(&path).unwrap_err() {
+                StorageError::Unsupported(msg) => {
+                    assert!(msg.contains("re-save"), "v{version}: no conversion hint: {msg}")
+                }
+                other => panic!("v{version}: expected Unsupported, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }

@@ -168,25 +168,31 @@ fn empty_batch_append_is_a_noop() {
 
 #[test]
 fn append_rejects_v1_and_v2_files() {
+    // No v1/v2 writer remains: relabel a v4 image's header by hand.
     let table = base_table();
     let c = CompressedTable::build(&table, CompressionOptions::with_chunk_size(CHUNK)).unwrap();
-    for (name, bytes) in [
-        ("reject-v1.cohana", persist::to_bytes_v1(&c)),
-        ("reject-v2.cohana", persist::to_bytes_v2(&c)),
-    ] {
-        let path = temp_path(name);
+    for version in [1u32, 2] {
+        let mut bytes = persist::to_bytes(&c).to_vec();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let path = temp_path(&format!("reject-v{version}.cohana"));
         std::fs::write(&path, &bytes).unwrap();
-        let before = std::fs::read(&path).unwrap();
-        let err = persist::append(&path, &table).unwrap_err();
-        match &err {
-            StorageError::Unsupported(msg) => {
-                assert!(msg.contains("re-save"), "error should carry a migration hint: {msg}")
+        let errors = [
+            ("append", persist::append(&path, &table).err()),
+            ("compact", persist::compact(&path).err()),
+            ("inspect", persist::inspect(&path).err()),
+            ("file_space_stats", persist::file_space_stats(&path).err()),
+        ];
+        for (entry, err) in errors {
+            match err {
+                Some(StorageError::Unsupported(msg)) => assert!(
+                    msg.contains("re-save"),
+                    "{entry} v{version}: error should carry a migration hint: {msg}"
+                ),
+                other => panic!("{entry} v{version}: expected Unsupported, got {other:?}"),
             }
-            other => panic!("expected Unsupported, got {other:?}"),
         }
-        // A rejected append must not touch the file.
-        assert_eq!(std::fs::read(&path).unwrap(), before);
-        assert!(matches!(persist::compact(&path).unwrap_err(), StorageError::Unsupported(_)));
+        // A rejected append or compaction must not touch the file.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -1,12 +1,13 @@
 //! Robustness: deserializing corrupted or truncated table images must fail
 //! gracefully (an `Err`, never a panic, never an out-of-bounds read) — for
-//! the legacy v1 eager blobs, the v2 whole-chunk footer-indexed format, and
 //! the v3/v4 column-addressable formats (v4 adds per-blob codec tags and
 //! uncompressed lengths), on both the eager (`from_bytes`) and lazy
-//! (`FileSource`, whole-chunk and projected per-column) read paths.
+//! (`FileSource`, whole-chunk and projected per-column) read paths. (The
+//! retired v1/v2 headers are rejected before any of this parsing; see the
+//! bad-version tests in `persist` and `append.rs`.)
 
 use cohana_activity::{generate, GeneratorConfig};
-use cohana_storage::persist::{from_bytes, to_bytes, to_bytes_v1, to_bytes_v2, to_bytes_v3};
+use cohana_storage::persist::{from_bytes, to_bytes, to_bytes_v3};
 use cohana_storage::{ChunkSource, CompressedTable, CompressionOptions, FileSource};
 use proptest::prelude::*;
 
@@ -19,8 +20,6 @@ fn compressed() -> CompressedTable {
 fn image(version: u32) -> Vec<u8> {
     let c = compressed();
     match version {
-        1 => to_bytes_v1(&c).to_vec(),
-        2 => to_bytes_v2(&c).to_vec(),
         3 => to_bytes_v3(&c).to_vec(),
         4 => to_bytes(&c).to_vec(),
         v => panic!("no writer for version {v}"),
@@ -50,7 +49,7 @@ proptest! {
 
     #[test]
     fn random_single_byte_flip_never_panics(
-        version in prop::sample::select(vec![1u32, 2, 3, 4]),
+        version in prop::sample::select(vec![3u32, 4]),
         pos in 0usize..60_000,
         xor in 1u8..=255,
     ) {
@@ -65,22 +64,18 @@ proptest! {
             // consistent enough to decompress or cleanly error.
             let _ = table.decompress();
         }
-        if version >= 2 {
-            exercise_lazy(&bytes, "flip");
-        }
+        exercise_lazy(&bytes, "flip");
     }
 
     #[test]
     fn random_truncation_never_panics(
-        version in prop::sample::select(vec![1u32, 2, 3, 4]),
+        version in prop::sample::select(vec![3u32, 4]),
         cut_fraction in 0.0f64..1.0,
     ) {
         let bytes = image(version);
         let cut = ((bytes.len() as f64) * cut_fraction) as usize;
         prop_assert!(from_bytes(&bytes[..cut]).is_err());
-        if version >= 2 {
-            exercise_lazy(&bytes[..cut], "cut");
-        }
+        exercise_lazy(&bytes[..cut], "cut");
     }
 
     #[test]
@@ -92,7 +87,7 @@ proptest! {
 
 #[test]
 fn valid_images_roundtrip_every_version() {
-    for version in [1, 2, 3, 4] {
+    for version in [3, 4] {
         let bytes = image(version);
         let table = from_bytes(&bytes).unwrap();
         assert!(table.num_rows() > 0, "v{version}");
@@ -102,7 +97,7 @@ fn valid_images_roundtrip_every_version() {
 
 #[test]
 fn bad_magic_rejected_every_version() {
-    for version in [1, 2, 3, 4] {
+    for version in [3, 4] {
         let mut bytes = image(version);
         bytes[0] ^= 0xFF;
         assert!(from_bytes(&bytes).is_err(), "v{version}");
@@ -116,7 +111,7 @@ fn footer_past_eof_names_the_offset_every_footered_version() {
     // names the impossible offset — not a bare UnexpectedEof, and never a
     // slice panic. Both the eager and the lazy open paths report it.
     use cohana_storage::StorageError;
-    for version in [2, 3, 4] {
+    for version in [3, 4] {
         let mut bytes = image(version);
         let tail = bytes.len() - 12;
         let bogus_len = bytes.len() as u64 * 2;
@@ -146,8 +141,8 @@ fn lazy_decode_of_tampered_chunk_errors_not_panics() {
     // Flip bytes inside the payload region only: the footer parses fine, so
     // FileSource::open succeeds, and the corruption must surface as a
     // per-segment decode error (or a changed-but-consistent payload), never
-    // a panic — on both the whole-chunk (v2) and per-column (v3) paths.
-    for version in [2, 3, 4] {
+    // a panic — on both the full-chunk and the projected per-column fetch.
+    for version in [3, 4] {
         let bytes = image(version);
         let dir = std::env::temp_dir().join("cohana-corruption-test");
         std::fs::create_dir_all(&dir).unwrap();
