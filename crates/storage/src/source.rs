@@ -443,9 +443,10 @@ pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
 /// [`FileSource::open`] reads only the 8-byte header and the footer — O(1)
 /// in the number of tuples. Every chunk's columns are independently
 /// addressable: [`FileSource::chunk_columns`] seeks and decodes only the RLE
-/// user column plus the projected column segments. Decoded segments live in a bounded byte-budgeted LRU cache
-/// ([`FileSource::open_with_budget`]) so resident memory never exceeds the
-/// configured budget regardless of table size.
+/// user column plus the projected column segments. Decoded segments live in
+/// a bounded byte-budgeted LRU cache ([`FileSource::open_with_budget`]) so
+/// resident memory never exceeds the configured budget regardless of table
+/// size.
 #[derive(Debug)]
 pub struct FileSource {
     path: PathBuf,
