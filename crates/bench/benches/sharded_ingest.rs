@@ -10,14 +10,17 @@
 //!   (per-shard appends run on their own threads under per-shard locks) and
 //!   to one flat file. The untimed `sharded_ingest/append` line records both
 //!   rows/sec rates and the speedup — the acceptance evidence that routing
-//!   by user-id range buys write parallelism.
+//!   by user-id range buys write parallelism. It also carries the chunks the
+//!   sharded append rewrote and the bytes it wrote (a batch that supersedes
+//!   every chunk of a shard rewrites that shard whole, already compacted).
 //! - `sharded_ingest/q1_during_compaction`: Q1 as a prepared statement on a
 //!   live sharded table while an ingest thread keeps feeding batches and the
 //!   maintenance thread auto-compacts shards past the dead-byte threshold.
 //!   The recorded line carries the latency percentiles plus how many
 //!   compaction passes actually fired during the window.
 //! - `sharded_ingest/compaction`: dead/reclaimed byte accounting for a full
-//!   compaction sweep after the appends.
+//!   compaction sweep after a batch that brings back only some users, so
+//!   its appends take the in-place path and leave dead bytes behind.
 //!
 //! Full mode uses a ~40K-row cohort-clustered table; smoke mode
 //! (`COHANA_BENCH_SMOKE=1`, CI) shrinks it to a bit-rot check.
@@ -55,6 +58,24 @@ fn time_slices(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
             b.finish().unwrap()
         })
         .collect()
+}
+
+/// Split off the later half (by time) of every `every`-th user's activity:
+/// `(base, batch)`. The batch's returning users sit in some chunks but not
+/// all, so appending it takes the in-place path and leaves dead bytes.
+fn returning_subset(table: &ActivityTable, every: usize) -> (ActivityTable, ActivityTable) {
+    let tidx = table.schema().time_idx();
+    let (lo, hi) = table.int_range(tidx).unwrap();
+    let mid = lo + (hi - lo) / 2;
+    let mut parts = [0, 1].map(|_| TableBuilder::new(table.schema().clone()));
+    for (bi, block) in table.user_blocks().enumerate() {
+        for row in &table.rows()[block.range()] {
+            let later = bi % every == 0 && row.get(tidx).as_int().unwrap() >= mid;
+            parts[usize::from(later)].push(row.values().to_vec()).unwrap();
+        }
+    }
+    let [base, batch] = parts.map(|b| b.finish().unwrap());
+    (base, batch)
 }
 
 /// Copy a batch with every timestamp shifted forward: repeated ingests of
@@ -125,7 +146,7 @@ fn bench_append(c: &mut Criterion) {
     let rows = slices[1].num_rows() as f64;
     let mut serial = Duration::MAX;
     let mut parallel = Duration::MAX;
-    let mut shards_touched = 0;
+    let mut sharded_stats = shard::ShardedAppendStats::default();
     for _ in 0..reps {
         std::fs::write(&file, &image).unwrap();
         let t = Instant::now();
@@ -134,30 +155,41 @@ fn bench_append(c: &mut Criterion) {
 
         reset_sharded(&sharded, &slices[0], chunk);
         let t = Instant::now();
-        let stats = shard::append_sharded(&sharded, &slices[1]).unwrap();
+        sharded_stats = shard::append_sharded(&sharded, &slices[1]).unwrap();
         parallel = parallel.min(t.elapsed());
-        shards_touched = stats.shards_touched();
     }
+    let shards_touched = sharded_stats.shards_touched();
+    let total = sharded_stats.total();
     let serial_rate = rows / serial.as_secs_f64().max(1e-9);
     let parallel_rate = rows / parallel.as_secs_f64().max(1e-9);
     eprintln!(
         "# sharded_ingest/append: serial {serial_rate:.0} rows/s, parallel {parallel_rate:.0} \
-         rows/s across {shards_touched} shards ({:.2}x)",
-        parallel_rate / serial_rate
+         rows/s across {shards_touched} shards ({:.2}x); {} of {} chunks rewritten, {} bytes \
+         written",
+        parallel_rate / serial_rate,
+        total.chunks_rewritten,
+        total.chunks_before,
+        total.bytes_appended
     );
     record_line(&format!(
         "{{\"bench\": \"sharded_ingest/append\", \"rows\": {}, \"shards\": {shards_touched}, \
          \"serial_rows_per_sec\": {serial_rate:.0}, \"parallel_rows_per_sec\": \
-         {parallel_rate:.0}, \"speedup\": {:.3}}}",
+         {parallel_rate:.0}, \"speedup\": {:.3}, \"chunks_rewritten\": {}, \"bytes_written\": {}}}",
         slices[1].num_rows(),
-        parallel_rate / serial_rate
+        parallel_rate / serial_rate,
+        total.chunks_rewritten,
+        total.bytes_appended
     ));
 
-    // Compaction accounting: append every later slice serially into the
-    // shard set, then sweep — the reclaimed bytes are the dead bytes the
-    // returning-user rewrites left behind.
-    reset_sharded(&sharded, &slices[0], chunk);
-    shard::append_sharded(&sharded, &slices[1]).unwrap();
+    // Compaction accounting: append a batch that brings back some users,
+    // then sweep — the reclaimed bytes are the dead bytes the returning-user
+    // rewrites left behind.
+    // Smoke mode's shards hold one chunk each at the timed chunk size, and
+    // any returning user would supersede it: sweep smaller chunks there.
+    let (base, partial) = returning_subset(&table, 8);
+    let sweep = if smoke { CompressionOptions::with_chunk_size(512) } else { chunk };
+    reset_sharded(&sharded, &base, sweep);
+    shard::append_sharded(&sharded, &partial).unwrap();
     let dead_before: u64 =
         shard::shard_space_stats(&sharded).unwrap().iter().map(|s| s.dead_bytes).sum();
     let mut reclaimed = 0u64;

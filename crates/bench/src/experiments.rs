@@ -560,7 +560,10 @@ pub fn ingest(cache: &mut DatasetCache) -> ExperimentResult {
     let dir = std::env::temp_dir().join("cohana-bench-ingest");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ingest.cohana");
-    let chunk = 16 * 1024;
+    // About eight chunks at build-once size, so a slice's returning users
+    // sit in the newest chunks only and appends take the in-place path (an
+    // append superseding every chunk lands compacted, with no dead bytes).
+    let chunk = (table.num_rows() / 8).clamp(1024, 16 * 1024);
     let first = CompressedTable::build(&batches[0], CompressionOptions::with_chunk_size(chunk))
         .expect("first batch compresses");
     persist::write_file(&first, &path).expect("initial file writes");

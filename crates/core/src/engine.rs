@@ -234,10 +234,12 @@ impl Cohana {
     /// * A file-backed table (attached with [`Cohana::open`]) grows via
     ///   [`persist::append`](cohana_storage::persist::append): new chunks are
     ///   appended to the file, chunks holding returning users are rewritten
-    ///   at the tail, and the catalog entry is swapped for a freshly opened
-    ///   source (same cache budget) describing the grown file.
-    /// * A resident table is rebuilt in memory from its rows plus the batch
-    ///   and swapped.
+    ///   at the tail (or, when that would be every chunk, the file is
+    ///   replaced by its compacted image), and the catalog entry is swapped
+    ///   for a freshly opened source (same cache budget) describing the
+    ///   grown file.
+    /// * A resident table is re-encoded in memory with the batch merged in
+    ///   ([`CompressedTable::merged_with`]) and swapped.
     /// * Generic sources registered with [`Cohana::register_source`] are not
     ///   ingestable — the engine does not know what backs them.
     ///
@@ -282,20 +284,12 @@ impl Cohana {
                     ));
                 }
                 let chunks_before = table.chunks().len();
-                let mut rows = table.decompress()?;
-                let mut builder = cohana_activity::TableBuilder::with_capacity(
-                    table.schema().clone(),
-                    rows.num_rows() + batch.num_rows(),
-                );
-                for row in rows.rows().iter().chain(batch.rows()) {
-                    builder.push(row.values().to_vec())?;
-                }
-                rows = builder.finish().map_err(|e| {
-                    EngineError::Unsupported(format!(
-                        "ingest batch conflicts with existing data: {e}"
-                    ))
+                let rebuilt = table.merged_with(batch).map_err(|e| match e {
+                    cohana_storage::StorageError::Invalid(msg) => EngineError::Unsupported(
+                        format!("ingest batch conflicts with existing data: {msg}"),
+                    ),
+                    e => e.into(),
                 })?;
-                let rebuilt = CompressedTable::build(&rows, table.options())?;
                 let chunks_after = rebuilt.chunks().len();
                 self.register(name, rebuilt);
                 Ok(cohana_storage::AppendStats {
@@ -350,7 +344,7 @@ impl Cohana {
             CatalogEntry::Sharded(table) => Ok(table.compact()?),
             CatalogEntry::Memory(table) => {
                 let chunks_before = table.chunks().len();
-                let rebuilt = CompressedTable::build(&table.decompress()?, table.options())?;
+                let rebuilt = table.compacted()?;
                 let chunks_after = rebuilt.chunks().len();
                 let rows = rebuilt.num_rows();
                 self.register(name, rebuilt);

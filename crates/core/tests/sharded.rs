@@ -8,7 +8,7 @@ use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder, Ti
 use cohana_core::{
     paper, Cohana, CohortQuery, CohortReport, EngineError, EngineOptions, MaintenanceConfig,
 };
-use cohana_storage::{persist, CompressedTable, CompressionOptions};
+use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, FileSource};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -48,6 +48,25 @@ fn split_by_time(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
             b.finish().unwrap()
         })
         .collect()
+}
+
+/// Split a table so the second batch brings back only some users: every
+/// `every`-th user's activity from the second half of the window is batch 1,
+/// everything else batch 0. Batch 1's returning users then sit in some
+/// chunks but not all, so its appends take the in-place path and leave dead
+/// bytes.
+fn split_returning_subset(table: &ActivityTable, every: usize) -> Vec<ActivityTable> {
+    let tidx = table.schema().time_idx();
+    let (lo, hi) = table.int_range(tidx).unwrap();
+    let mid = lo + (hi - lo) / 2;
+    let mut builders = [0, 1].map(|_| TableBuilder::new(table.schema().clone()));
+    for (bi, block) in table.user_blocks().enumerate() {
+        for row in &table.rows()[block.range()] {
+            let later = bi % every == 0 && row.get(tidx).as_int().unwrap() >= mid;
+            builders[usize::from(later)].push(row.values().to_vec()).unwrap();
+        }
+    }
+    builders.into_iter().map(|b| b.finish().unwrap()).collect()
 }
 
 /// The paper's eight benchmark queries, with the birth-range bounds derived
@@ -186,7 +205,7 @@ fn k_batch_sharded_ingest_matches_build_once() {
 #[test]
 fn background_compaction_fires_without_breaking_prepared_snapshots() {
     let table = base_table();
-    let batches = split_by_time(&table, 2);
+    let batches = split_returning_subset(&table, 8);
 
     let dir = temp_dir("auto-compact");
     let engine = Cohana::new(EngineOptions::default());
@@ -208,8 +227,8 @@ fn background_compaction_fires_without_breaking_prepared_snapshots() {
     let stmt = engine.session().prepare(&q1).unwrap();
     let before = stmt.execute().unwrap();
 
-    // Time-sliced batch 1 revisits batch 0's users: the appends rewrite
-    // their chunks, leaving dead bytes well past the 2% threshold.
+    // Batch 1 revisits some of batch 0's users: the appends rewrite their
+    // chunks, leaving dead bytes well past the 2% threshold.
     handle.ingest(&batches[1]).unwrap();
 
     // The ingest poked the maintenance thread; wait for it to compact.
@@ -238,6 +257,52 @@ fn background_compaction_fires_without_breaking_prepared_snapshots() {
     let total: u64 = fresh.cohort_sizes.values().sum();
     assert_eq!(total as usize, table.num_users());
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn full_rewrite_ingest_lands_compacted_without_breaking_prepared_snapshots() {
+    // Time slices revisit every user, so the second batch supersedes every
+    // chunk of every shard: each shard append writes its compacted image.
+    let table = base_table();
+    let batches = split_by_time(&table, 2);
+    let dir = temp_dir("full-rewrite");
+    let engine = Cohana::new(EngineOptions::default());
+    let config = MaintenanceConfig { auto_compact: false, dead_ratio: 0.02, ..Default::default() };
+    let handle = engine
+        .open(&dir)
+        .shards(3)
+        .chunk_size(CHUNK)
+        .maintenance(config)
+        .create_from(&batches[0])
+        .unwrap();
+
+    let q1 = paper::q1();
+    let stmt = engine.session().prepare(&q1).unwrap();
+    let before = stmt.execute().unwrap();
+    let shard0 = cohana_storage::shard::read_manifest(&dir).unwrap().shard_path(&dir, 0);
+    let mut src = FileSource::open(&shard0).unwrap();
+    for i in 0..src.num_chunks() {
+        src.chunk(i).unwrap();
+    }
+    let warm = src.num_chunks() * table.schema().arity();
+
+    let stats = handle.ingest(&batches[1]).unwrap();
+    assert_eq!(stats.chunks_rewritten, stats.chunks_before, "every chunk superseded");
+    assert_eq!(stats.dead_bytes, 0);
+    assert!(handle.space_stats().unwrap().iter().all(|s| s.dead_bytes == 0));
+
+    // The prepared statement still answers from its pre-ingest snapshot.
+    assert_eq!(stmt.execute().unwrap(), before, "snapshot broken by a full-rewrite ingest");
+    // The shard file is a new inode: refresh drops every cached segment.
+    assert_eq!(src.refresh().unwrap().segments_invalidated, warm);
+    // Nothing is left for maintenance to compact.
+    let compactions = handle.maintenance_stats().unwrap().auto_compactions;
+    let m = handle.maintenance_pass().unwrap();
+    assert_eq!(m.auto_compactions - compactions, 0, "{m:?}");
+
+    let fresh = engine.session().prepare(&q1).unwrap().execute().unwrap();
+    assert_eq!(fresh.cohort_sizes.values().sum::<u64>() as usize, table.num_users());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -58,7 +58,8 @@
 //! v3/v4 files are not build-once: [`persist::append`] grows a file in place
 //! (new blobs after the old footer, fresh footer at the tail, dictionary
 //! growth handled by per-epoch gid remaps, returning users' chunks
-//! rewritten to preserve the one-chunk-per-user invariant),
+//! rewritten to preserve the one-chunk-per-user invariant, and the
+//! compacted image written instead when every chunk would be rewritten),
 //! [`persist::compact`] merges appended chunks back into full-sized,
 //! time-clustered, dead-byte-free form, [`TableWriter`] buffers and encodes
 //! incoming batches, and [`FileSource::refresh`] lets an open source adopt
@@ -74,6 +75,7 @@ pub mod dict;
 pub mod error;
 pub mod persist;
 pub mod record;
+mod rewrite;
 pub mod rle;
 pub mod shard;
 pub mod source;

@@ -61,9 +61,12 @@
 //! the current format — is the migration path from v3 to v4. Dictionary
 //! growth is recorded as per-epoch gid remaps in the footer instead of
 //! rewriting blobs; chunks holding users that reappear in a batch are
-//! re-encoded so no user ever spans two chunks. See `docs/FORMAT.md` for
-//! the exact layout and `crate::writer::TableWriter` for the batching
-//! front end.
+//! re-encoded so no user ever spans two chunks. An append that would
+//! supersede every chunk writes the compacted image instead (temp file +
+//! rename, still in the file's own version). Every re-encoding — append,
+//! compaction, user deletion — goes through one columnar rewrite core that
+//! works in global-id space. See `docs/FORMAT.md` for the exact layout and
+//! `crate::writer::TableWriter` for the batching front end.
 //!
 //! # Versions
 //!
@@ -87,9 +90,10 @@ use crate::source::{ChunkIndexEntry, ColumnStats};
 use crate::table::{ColumnMeta, CompressedTable, CompressionOptions, TableMeta};
 use crate::{Result, StorageError};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, TableBuilder, ValueType};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use cohana_activity::{ActivityTable, Attribute, AttributeRole, Schema, ValueType};
+use std::fs::File;
+use std::io::{Seek, SeekFrom, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const MAGIC: u32 = 0x434F_4841; // "COHA"
@@ -350,12 +354,17 @@ pub struct AppendStats {
     /// Old chunks that had to be re-encoded because the batch contained
     /// activity of users already living in them (chunking never splits a
     /// user, so a returning user's old and new tuples must land in one
-    /// chunk). Their previous blob versions become dead bytes.
+    /// chunk). When this equals `chunks_before`, the append rewrote the
+    /// whole file compacted; otherwise their previous blob versions become
+    /// dead bytes.
     pub chunks_rewritten: usize,
-    /// Bytes written at the tail (new blobs + footer + tail marker).
+    /// Bytes the append wrote: the tail (new blobs + footer + tail marker)
+    /// of an in-place append, or the whole compacted image when every chunk
+    /// was superseded.
     pub bytes_appended: u64,
     /// Dead bytes now in the file: superseded footers and rewritten chunk
-    /// versions, reclaimable by [`compact`].
+    /// versions, reclaimable by [`compact`]. Always 0 after an append that
+    /// superseded every chunk.
     pub dead_bytes: u64,
     /// Total file size after the append.
     pub file_bytes: u64,
@@ -378,48 +387,71 @@ pub struct CompactStats {
     pub rows: usize,
 }
 
-fn read_exact_at(file: &mut std::fs::File, offset: u64, len: u64) -> Result<Vec<u8>> {
+/// Read exactly `len` bytes at `offset` with a positional read: no file
+/// cursor is moved, so concurrent readers of one handle need no lock.
+pub(crate) fn read_exact_at(file: &File, offset: u64, len: u64) -> std::io::Result<Vec<u8>> {
     let mut buf = vec![0u8; len as usize];
-    file.seek(SeekFrom::Start(offset))?;
-    file.read_exact(&mut buf)?;
+    read_into_at(file, &mut buf, offset)?;
     Ok(buf)
 }
 
-/// Decode one chunk of an open v3/v4 file into current-dictionary terms.
-/// `rle` is the chunk's already-decoded (and remapped) user column when the
-/// caller has it — the returning-user scan decodes every RLE anyway.
+#[cfg(unix)]
+fn read_into_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(not(unix))]
+fn read_into_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    use std::io::{Read, Seek, SeekFrom};
+    // No positional reads here: seek and read the shared cursor, one pair
+    // at a time.
+    static CURSOR: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _cursor = CURSOR.lock().unwrap_or_else(|e| e.into_inner());
+    let mut file = file;
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_exact(buf)
+}
+
+/// Atomically replace the file at `path` with `bytes`: write a sibling temp
+/// file, then rename it over `path`. Readers holding the old file open keep
+/// reading its inode. On failure the temp file is removed and `path` is left
+/// as it was.
+pub(crate) fn replace_file(path: &Path, bytes: &[u8]) -> Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".rewrite-tmp");
+    let tmp = PathBuf::from(tmp);
+    let replaced = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if replaced.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    Ok(replaced?)
+}
+
+/// Decode the non-user columns of one chunk of an open v3/v4 file through
+/// its epoch's `remaps` into the merged dictionaries of `meta`, around its
+/// already decoded (and remapped) user column, and validate the result.
 fn read_chunk_at(
-    file: &mut std::fs::File,
-    footer: &Footer,
+    file: &File,
+    meta: &TableMeta,
     layout: &ChunkLayout,
     ci: usize,
-    rle: Option<UserRle>,
+    remaps: Option<&EpochRemaps>,
+    rle: UserRle,
 ) -> Result<Chunk> {
-    let schema = footer.meta.schema();
-    let rle = match rle {
-        Some(rle) => rle,
-        None => {
-            let mut rle =
-                decode_rle_blob(&read_exact_at(file, layout.rle.offset, layout.rle.len)?)?;
-            if let Some(remap) = footer.remap_for(ci, schema.user_idx()) {
-                rle = rle.remap_users(remap)?;
-            }
-            rle
-        }
-    };
-    let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; schema.arity()];
+    let user_idx = meta.schema().user_idx();
+    let mut columns: Vec<Option<Arc<ChunkColumn>>> = vec![None; meta.schema().arity()];
     for (idx, loc) in layout.cols.iter().enumerate() {
-        if idx == schema.user_idx() {
+        if idx == user_idx {
             continue;
         }
         let mut col = decode_column_blob_loc(&read_exact_at(file, loc.offset, loc.len)?, loc)?;
-        if let Some(remap) = footer.remap_for(ci, idx) {
+        if let Some(remap) = remaps.and_then(|r| r[idx].as_ref()) {
             col = col.remap_gids(remap)?;
         }
         columns[idx] = Some(Arc::new(col));
     }
     let chunk = Chunk::from_shared(Arc::new(rle), columns)?;
-    crate::table::validate_chunk(&footer.meta, ci, &chunk)?;
+    crate::table::validate_chunk(meta, ci, &chunk)?;
     Ok(chunk)
 }
 
@@ -451,22 +483,31 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
         .collect()
 }
 
-/// Extend an existing v3/v4 file **in place** with a batch of activity
-/// tuples, preserving the file's format version (v4 appends codec-compress
-/// the new blobs, v3 appends stay raw).
+/// Extend an existing v3/v4 file with a batch of activity tuples, preserving
+/// the file's format version (v4 appends codec-compress the new blobs, v3
+/// appends stay raw).
 ///
-/// The batch is sorted and encoded into chunk-sized runs against the file's
-/// dictionaries *merged* with the batch's new values; the new chunks' blobs
-/// are written after the old footer position and a fresh footer is
-/// serialized at the tail. Nothing already on disk is re-encoded **except**
-/// chunks holding users that also appear in the batch: a returning user's
-/// old and new tuples must live in one chunk (the §4.1 invariant every
-/// executor pass relies on), so those chunks are decoded, merged with the
-/// user's new activity, and re-appended — their old blob versions, like the
-/// old footer, become dead bytes until [`compact`] reclaims them.
+/// The batch is encoded against the file's dictionaries *merged* with its
+/// new values. Chunks holding users that also appear in the batch are
+/// superseded: a returning user's old and new tuples must live in one chunk
+/// (the §4.1 invariant every executor pass relies on), so those chunks are
+/// decoded and merged with the batch in global-id space (see
+/// `crate::rewrite`) into chunk-sized runs. What happens next depends on how
+/// much is superseded:
+///
+/// * **Some chunks survive** (the usual case): the new chunks' blobs are
+///   written after the old end of file and a fresh footer is serialized at
+///   the tail. Nothing else on disk is touched; the superseded chunk
+///   versions and the old footer become dead bytes until [`compact`]
+///   reclaims them.
+/// * **Every chunk is superseded** (including a file with no chunks): a tail
+///   would leave the whole old payload dead, so the append instead writes
+///   the compacted image of all rows — byte for byte what [`compact`] would
+///   produce, but in the file's own version — to a temp file and renames it
+///   over `path`. The result has no dead bytes.
 ///
 /// New dictionary values that sort into the middle of a global dictionary do
-/// **not** shift the ids stored in existing blobs: the footer records, per
+/// **not** shift the ids stored in surviving blobs: the footer records, per
 /// dictionary *epoch*, the strictly increasing remap from that epoch's gids
 /// into the merged dictionary, and the decode path re-bases old chunks
 /// through it. The merged dictionaries stay sorted, so `rank`-based ordering
@@ -474,11 +515,13 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 ///
 /// v1/v2 files are rejected with [`StorageError::Unsupported`]. The batch
 /// must have the file's schema, and its primary keys must not collide with
-/// existing tuples.
+/// existing tuples ([`StorageError::Invalid`]); a rejected append leaves the
+/// file untouched.
 ///
 /// Readers holding the file open (e.g. a
-/// [`FileSource`](crate::source::FileSource)) are unaffected: their footer
-/// still describes exactly the bytes it did at open time. Call
+/// [`FileSource`](crate::source::FileSource)) are unaffected: an in-place
+/// append leaves every byte their footer describes in place, and a full
+/// rewrite leaves their handle on the old inode. Call
 /// [`FileSource::refresh`](crate::source::FileSource::refresh) (or re-open)
 /// to observe the appended data.
 ///
@@ -489,7 +532,7 @@ fn compose_remaps(a: &EpochRemaps, step: &EpochRemaps) -> Result<EpochRemaps> {
 /// out-of-engine callers own the coordination.
 pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     let mut file = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
-    let footer = read_footer_from_file(&mut file)?;
+    let footer = read_footer_from_file(&file)?;
     let total = footer.file_len;
     let version = footer.version;
     let schema = footer.meta.schema().clone();
@@ -513,94 +556,15 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
     // Merge the batch's new values into every dictionary, remembering the
     // strictly increasing remap of each old dictionary into its merged form;
     // widen integer ranges.
-    let old_is_empty = footer.meta.num_rows() == 0;
-    let mut metas = Vec::with_capacity(schema.arity());
-    let mut step: EpochRemaps = Vec::with_capacity(schema.arity());
-    for (idx, meta) in footer.meta.metas().iter().enumerate() {
-        match meta {
-            ColumnMeta::User { dict } | ColumnMeta::Str { dict } => {
-                let (merged, remap) = dict.merge_with(batch.distinct_strings(idx));
-                let identity = merged.len() == dict.len();
-                step.push((!identity).then(|| Arc::new(remap)));
-                metas.push(if matches!(meta, ColumnMeta::User { .. }) {
-                    ColumnMeta::User { dict: merged }
-                } else {
-                    ColumnMeta::Str { dict: merged }
-                });
-            }
-            ColumnMeta::Int { min, max } => {
-                let (bmin, bmax) = batch.int_range(idx).expect("batch is non-empty");
-                let (min, max) =
-                    if old_is_empty { (bmin, bmax) } else { ((*min).min(bmin), (*max).max(bmax)) };
-                step.push(None);
-                metas.push(ColumnMeta::Int { min, max });
-            }
-        }
-    }
+    let (merged, step) = crate::rewrite::merge_metas(&footer.meta, batch)?;
 
-    // Old chunks containing users that also appear in the batch must be
-    // rewritten (their RLE blobs are cheap to scan relative to full chunk
-    // payloads). Remapping the whole RLE up front surfaces any gid outside
-    // its dictionary epoch as corruption instead of silently misclassifying
-    // the chunk, and hands the decoded user column to the rewrite below.
-    let user_idx = schema.user_idx();
-    let old_user_dict = footer.meta.global_dict(user_idx).expect("user dictionary");
-    let returning: std::collections::HashSet<u32> = batch
-        .distinct_strings(user_idx)
-        .into_iter()
-        .filter_map(|u| old_user_dict.lookup(u))
-        .collect();
-    let mut affected = vec![false; chunks_before];
-    let mut affected_rles: Vec<Option<UserRle>> = (0..chunks_before).map(|_| None).collect();
-    if !returning.is_empty() {
-        for (ci, layout) in layouts.iter().enumerate() {
-            let mut rle =
-                decode_rle_blob(&read_exact_at(&mut file, layout.rle.offset, layout.rle.len)?)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
-            if let Some(remap) = footer.remap_for(ci, user_idx) {
-                rle = rle
-                    .remap_users(remap)
-                    .map_err(|e| StorageError::Corrupt(format!("chunk {ci}: {e}")))?;
-            }
-            if rle.runs().any(|run| returning.contains(&run.user_gid)) {
-                affected[ci] = true;
-                affected_rles[ci] = Some(rle);
-            }
-        }
-    }
-
-    // The delta: every rewritten chunk's rows plus the batch, re-sorted into
-    // primary-key order and encoded against the merged dictionaries.
-    let mut builder = TableBuilder::with_capacity(schema.clone(), batch.num_rows());
-    for (ci, layout) in layouts.iter().enumerate() {
-        if !affected[ci] {
-            continue;
-        }
-        let chunk = read_chunk_at(&mut file, &footer, layout, ci, affected_rles[ci].take())?;
-        for values in crate::table::chunk_rows(&footer.meta, &chunk) {
-            builder.push(values).map_err(|e| StorageError::Corrupt(e.to_string()))?;
-        }
-    }
-    for row in batch.rows() {
-        builder.push(row.values().to_vec()).map_err(|e| StorageError::Invalid(e.to_string()))?;
-    }
-    let delta = builder.finish().map_err(|e| {
-        StorageError::Invalid(format!("append batch conflicts with existing data: {e}"))
-    })?;
-    let delta_ct = CompressedTable::build_with_metas(&delta, metas.clone(), footer.meta.options())?;
-
-    // Compose the dictionary epochs. Surviving chunks keep their numeric
-    // epoch tag: when the step is non-trivial it is pushed as a new epoch at
-    // index `old epochs.len()`, exactly the tag previously meaning
-    // "current". If nothing survives, the epoch history resets.
-    let old_epoch_of = |ci: usize| -> u32 {
-        footer.chunk_epochs.get(ci).copied().unwrap_or(footer.epochs.len() as u32)
-    };
-    let surviving: Vec<usize> = (0..chunks_before).filter(|&ci| !affected[ci]).collect();
+    // Compose the dictionary epochs. Every chunk keeps its numeric epoch
+    // tag: when the step is non-trivial it is pushed as a new epoch at index
+    // `old epochs.len()`, exactly the tag previously meaning "current".
+    // Through these remaps a chunk of any epoch decodes straight into the
+    // merged dictionaries.
     let step_identity = step.iter().all(Option::is_none);
-    let epochs: Vec<EpochRemaps> = if surviving.is_empty() {
-        Vec::new()
-    } else if step_identity {
+    let epochs: Vec<EpochRemaps> = if step_identity {
         footer.epochs.clone()
     } else {
         let mut composed: Vec<EpochRemaps> =
@@ -608,14 +572,77 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         composed.push(step.clone());
         composed
     };
+    let old_epoch_of = |ci: usize| -> u32 {
+        footer.chunk_epochs.get(ci).copied().unwrap_or(footer.epochs.len() as u32)
+    };
+
+    // Old chunks containing users that also appear in the batch must be
+    // rewritten. Their RLE blobs are cheap to scan relative to full chunk
+    // payloads, and are skipped entirely when every batch user is new.
+    // Remapping the whole RLE up front surfaces any gid outside its
+    // dictionary epoch as corruption instead of silently misclassifying the
+    // chunk, and hands the decoded user column to the rewrite below.
+    let user_idx = schema.user_idx();
+    let user_dict = merged.global_dict(user_idx).expect("user dictionary");
+    let batch_users: Vec<u32> = batch
+        .user_blocks()
+        .filter_map(|b| user_dict.lookup(batch.rows()[b.start].get(user_idx).as_str()?))
+        .collect();
+    let old_users = footer.meta.global_dict(user_idx).expect("user dictionary").len();
+    let any_returning = batch_users.len() > user_dict.len() - old_users;
+    let mut affected = vec![false; chunks_before];
+    let mut superseded: Vec<Chunk> = Vec::new();
+    if any_returning {
+        for (ci, layout) in layouts.iter().enumerate() {
+            let corrupt = |e: StorageError| StorageError::Corrupt(format!("chunk {ci}: {e}"));
+            let remaps = epochs.get(old_epoch_of(ci) as usize);
+            let mut rle =
+                decode_rle_blob(&read_exact_at(&file, layout.rle.offset, layout.rle.len)?)
+                    .map_err(corrupt)?;
+            if let Some(remap) = remaps.and_then(|r| r[user_idx].as_ref()) {
+                rle = rle.remap_users(remap).map_err(corrupt)?;
+            }
+            if rle.runs().any(|run| batch_users.binary_search(&run.user_gid).is_ok()) {
+                affected[ci] = true;
+                superseded.push(read_chunk_at(&file, &merged, layout, ci, remaps, rle)?);
+            }
+        }
+    }
+
+    // The delta: every superseded chunk's rows plus the batch, merged into
+    // primary-key order and encoded against the merged dictionaries — or,
+    // when nothing survives, the compacted image of the whole table.
+    let full_rewrite = affected.iter().all(|&a| a);
+    let delta = crate::rewrite::rewrite(&merged, &superseded, Some(batch), &[], full_rewrite)
+        .map_err(|e| match e {
+            StorageError::Invalid(msg) => {
+                StorageError::Invalid(format!("append batch conflicts with existing data: {msg}"))
+            }
+            e => e,
+        })?;
+    if full_rewrite {
+        let image = to_bytes_versioned(&delta, version);
+        drop(file);
+        replace_file(path, &image)?;
+        return Ok(AppendStats {
+            rows_appended: batch.num_rows(),
+            chunks_before,
+            chunks_after: delta.chunks().len(),
+            chunks_rewritten: chunks_before,
+            bytes_appended: image.len() as u64,
+            dead_bytes: 0,
+            file_bytes: image.len() as u64,
+        });
+    }
     let current_epoch = epochs.len() as u32;
 
     // Assemble the new footer: surviving old chunks (offsets untouched,
     // action gids re-based onto the merged dictionary) followed by the delta
     // chunks at the tail.
+    let surviving: Vec<usize> = (0..chunks_before).filter(|&ci| !affected[ci]).collect();
     let action_remap = step[schema.action_idx()].as_ref();
     let mut all_layouts: Vec<ChunkLayout> =
-        Vec::with_capacity(surviving.len() + delta_ct.chunks().len());
+        Vec::with_capacity(surviving.len() + delta.chunks().len());
     let mut all_entries: Vec<ChunkIndexEntry> = Vec::with_capacity(all_layouts.capacity());
     let mut chunk_epochs: Vec<u32> = Vec::with_capacity(all_layouts.capacity());
     for &ci in &surviving {
@@ -634,8 +661,8 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         chunk_epochs.push(old_epoch_of(ci));
     }
     let mut tail_buf = BytesMut::new();
-    let new_layouts = write_blobs(&mut tail_buf, delta_ct.chunks(), &schema, total, version);
-    for (layout, entry) in new_layouts.into_iter().zip(delta_ct.index_entries()) {
+    let new_layouts = write_blobs(&mut tail_buf, delta.chunks(), &schema, total, version);
+    for (layout, entry) in new_layouts.into_iter().zip(delta.index_entries()) {
         all_layouts.push(layout);
         all_entries.push(entry.clone());
         chunk_epochs.push(current_epoch);
@@ -648,7 +675,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         version,
         footer.meta.options().chunk_size,
         &schema,
-        &metas,
+        merged.metas(),
         num_rows,
         &all_layouts,
         &all_entries,
@@ -671,7 +698,7 @@ pub fn append(path: &Path, batch: &ActivityTable) -> Result<AppendStats> {
         rows_appended: batch.num_rows(),
         chunks_before,
         chunks_after: all_layouts.len(),
-        chunks_rewritten: affected.iter().filter(|a| **a).count(),
+        chunks_rewritten: chunks_before - surviving.len(),
         bytes_appended: tail_buf.len() as u64,
         dead_bytes: file_bytes - HEADER_LEN - live_payload - footer_len - TAIL_LEN,
         file_bytes,
@@ -707,7 +734,7 @@ impl FileSpaceStats {
 /// Read the space accounting of a v3/v4 file: total size plus the dead
 /// bytes its current footer no longer references. Costs one footer parse.
 pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
-    let footer = read_footer_from_file(&mut std::fs::File::open(path)?)?;
+    let footer = read_footer_from_file(&File::open(path)?)?;
     Ok(FileSpaceStats {
         file_bytes: footer.file_len,
         dead_bytes: footer.dead_bytes(),
@@ -716,35 +743,30 @@ pub fn file_space_stats(path: &Path) -> Result<FileSpaceStats> {
     })
 }
 
-/// Rewrite a v3/v4 file compactly: decode everything (through any
-/// dictionary epochs), re-sort into the paper's §3 `(user, time, action)`
-/// primary order, re-chunk at the configured target size, rebuild minimal
-/// sorted dictionaries, and atomically replace the file (write to a sibling
-/// temp file, then rename). This merges the under-filled chunks appends
-/// leave behind, restores the §4.2 pruning quality of time-clustered
-/// chunks, drops every dead byte, and resets the epoch history. The rewrite
-/// always emits the current [`VERSION`], so compacting a v3 file doubles as
-/// the v3 → v4 migration path.
+/// Rewrite a v3/v4 file compactly: decode every chunk (through any
+/// dictionary epochs), merge them back into the paper's §3 `(user, time,
+/// action)` primary order in global-id space, re-chunk at the configured
+/// target size, shrink the dictionaries to the values still used, and
+/// atomically replace the file (write to a sibling temp file, then rename).
+/// This merges the under-filled chunks appends leave behind, restores the
+/// §4.2 pruning quality of time-clustered chunks, drops every dead byte, and
+/// resets the epoch history. The rewrite always emits the current
+/// [`VERSION`], so compacting a v3 file doubles as the v3 → v4 migration
+/// path.
 pub fn compact(path: &Path) -> Result<CompactStats> {
     let data = std::fs::read(path)?;
     let bytes_before = data.len() as u64;
     let table = from_bytes(&data)?;
-    let chunks_before = table.chunks().len();
-    let rows = table.decompress()?;
-    let rebuilt = CompressedTable::build(&rows, table.options())?;
+    drop(data);
+    let rebuilt = table.compacted()?;
     let bytes = to_bytes(&rebuilt);
-
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".compact-tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
+    replace_file(path, &bytes)?;
 
     Ok(CompactStats {
         bytes_before,
         bytes_after: bytes.len() as u64,
         reclaimed_bytes: bytes_before.saturating_sub(bytes.len() as u64),
-        chunks_before,
+        chunks_before: table.chunks().len(),
         chunks_after: rebuilt.chunks().len(),
         rows: rebuilt.num_rows(),
     })
@@ -1260,8 +1282,8 @@ fn read_footer(mut buf: &[u8], footer_start: u64, version: u32, file_len: u64) -
 
 /// Open a v3/v4 file for lazy access: check the header, then read and
 /// parse only the footer.
-pub(crate) fn read_footer_from_file(file: &mut std::fs::File) -> Result<Footer> {
-    let total = file.seek(SeekFrom::End(0))?;
+pub(crate) fn read_footer_from_file(file: &File) -> Result<Footer> {
+    let total = file.metadata()?.len();
     let version = check_header(&read_exact_at(file, 0, HEADER_LEN.min(total))?)?;
     if total < HEADER_LEN + TAIL_LEN {
         return Err(StorageError::Corrupt("file too short for header + tail".into()));
@@ -1879,7 +1901,7 @@ mod tests {
         let (first, rest) = rows.rows().split_at(rows.rows().len() / 2);
         let opts = CompressionOptions::with_chunk_size(256);
         let build_table = |slice: &[cohana_activity::Tuple]| {
-            let mut b = TableBuilder::new(rows.schema().clone());
+            let mut b = cohana_activity::TableBuilder::new(rows.schema().clone());
             for row in slice {
                 b.push(row.values().to_vec()).unwrap();
             }
@@ -1900,6 +1922,29 @@ mod tests {
             assert_eq!(back.num_rows(), rows.rows().len());
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    #[test]
+    fn replace_file_cleans_up_when_the_rename_fails() {
+        // A non-empty directory at the target path: the temp file is written,
+        // the rename over the directory fails, and the temp file must go.
+        let dir = std::env::temp_dir().join("cohana-persist-replace");
+        std::fs::remove_dir_all(&dir).ok();
+        let target = dir.join("table.cohana");
+        std::fs::create_dir_all(target.join("occupied")).unwrap();
+        let err = replace_file(&target, b"image").unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "{err:?}");
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["table.cohana"], "the temp file was left behind");
+        assert!(target.join("occupied").is_dir(), "the target was touched");
+
+        // An ordinary target is replaced whole.
+        let file = dir.join("plain.cohana");
+        std::fs::write(&file, b"old contents").unwrap();
+        replace_file(&file, b"new").unwrap();
+        assert_eq!(std::fs::read(&file).unwrap(), b"new");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

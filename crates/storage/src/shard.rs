@@ -264,13 +264,7 @@ pub fn read_manifest(path: &Path) -> Result<ShardManifest> {
 /// rename over the target, so a reader never observes a partial map.
 pub fn write_manifest(path: &Path, manifest: &ShardManifest) -> Result<()> {
     manifest.validate()?;
-    let target = manifest_path(path);
-    let mut tmp = target.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, manifest.encode())?;
-    std::fs::rename(&tmp, &target)?;
-    Ok(())
+    persist::replace_file(&manifest_path(path), &manifest.encode())
 }
 
 // ------------------------------------------------------------ shard lock
@@ -597,32 +591,20 @@ pub fn apply_pending_tombstones(path: &Path) -> Result<DeleteStats> {
         let _lock = ShardLock::acquire(&shard_path, LOCK_TIMEOUT)?;
         let bytes_before = std::fs::metadata(&shard_path)?.len();
         let table = persist::read_file(&shard_path)?;
-        let rows = table.decompress()?;
-        let user_idx = rows.schema().user_idx();
-        let victim_set: BTreeSet<&str> = victims.iter().copied().collect();
-        let mut deleted_users: BTreeSet<&str> = BTreeSet::new();
-        let mut kept = Vec::with_capacity(rows.num_rows());
-        for row in rows.rows() {
-            let user = row.get(user_idx).as_str().expect("user is a string");
-            if victim_set.contains(user) {
-                deleted_users.insert(user);
-                stats.rows_deleted += 1;
-            } else {
-                kept.push(row.clone());
-            }
-        }
-        if deleted_users.is_empty() {
+        let user_idx = table.schema().user_idx();
+        // Every user in a shard's dictionary has tuples in it.
+        let mut doomed: Vec<u32> =
+            victims.iter().filter_map(|v| table.lookup_gid(user_idx, v)).collect();
+        if doomed.is_empty() {
             continue; // Nothing of these users in this shard: no rewrite.
         }
-        stats.users_deleted += deleted_users.len();
-        let filtered = ActivityTable::from_sorted_rows(rows.schema().clone(), kept)
-            .expect("dropping whole users keeps a sorted table sorted");
-        let rebuilt = CompressedTable::build(&filtered, table.options())?;
-        let mut tmp = shard_path.as_os_str().to_os_string();
-        tmp.push(".delete-tmp");
-        let tmp = PathBuf::from(tmp);
-        persist::write_file(&rebuilt, &tmp)?;
-        std::fs::rename(&tmp, &shard_path)?;
+        doomed.sort_unstable();
+        doomed.dedup();
+        let rebuilt =
+            crate::rewrite::rewrite(table.table_meta(), table.chunks(), None, &doomed, true)?;
+        stats.users_deleted += doomed.len();
+        stats.rows_deleted += table.num_rows() - rebuilt.num_rows();
+        persist::replace_file(&shard_path, &persist::to_bytes(&rebuilt))?;
         stats.shards_rewritten += 1;
         let bytes_after = std::fs::metadata(&shard_path)?.len();
         stats.reclaimed_bytes += bytes_before.saturating_sub(bytes_after);

@@ -33,7 +33,6 @@ use crate::{Result, StorageError};
 use cohana_activity::Schema;
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -450,7 +449,7 @@ pub(crate) fn shared_cache(budget: usize) -> Arc<Mutex<SegmentCache>> {
 #[derive(Debug)]
 pub struct FileSource {
     path: PathBuf,
-    file: Mutex<File>,
+    file: File,
     meta: TableMeta,
     entries: Vec<ChunkIndexEntry>,
     /// Per-chunk blob layout.
@@ -555,11 +554,11 @@ impl FileSource {
         cache: Arc<Mutex<SegmentCache>>,
         cache_id: u32,
     ) -> Result<FileSource> {
-        let mut file = File::open(path)?;
-        let footer = persist::read_footer_from_file(&mut file)?;
+        let file = File::open(path)?;
+        let footer = persist::read_footer_from_file(&file)?;
         Ok(FileSource {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            file,
             meta: footer.meta,
             entries: footer.entries,
             layouts: footer.layouts,
@@ -651,11 +650,11 @@ impl FileSource {
                 "a re-based shard member cannot refresh in place; reopen the sharded table".into(),
             ));
         }
-        let mut file = File::open(&self.path)?;
-        let footer = persist::read_footer_from_file(&mut file)?;
+        let file = File::open(&self.path)?;
+        let footer = persist::read_footer_from_file(&file)?;
         let chunks_before = self.layouts.len();
 
-        let grown_in_place = same_inode(&self.file.lock().expect("file lock poisoned"), &file);
+        let grown_in_place = same_inode(&self.file, &file);
         let same_remap = |chunk: usize, attr: usize| {
             self.remap_for(chunk, attr).map(|r| r.as_slice())
                 == footer.remap_for(chunk, attr).map(|r| r.as_slice())
@@ -702,7 +701,7 @@ impl FileSource {
         // Swap the file handle too: after a compact the path names a new
         // inode, and the old handle would keep reading the pre-compact
         // image.
-        *self.file.lock().expect("file lock poisoned") = file;
+        self.file = file;
         Ok(RefreshStats { chunks_before, chunks_after, segments_invalidated })
     }
 
@@ -768,21 +767,16 @@ impl FileSource {
                 self.payload_end
             )));
         }
-        let mut buf = vec![0u8; len as usize];
-        {
-            let mut file = self.file.lock().expect("file lock poisoned");
-            file.seek(SeekFrom::Start(offset))?;
-            file.read_exact(&mut buf).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    StorageError::Corrupt(format!(
-                        "blob at offset {offset} (length {len}) reaches past the end of the \
-                         file (truncated?)"
-                    ))
-                } else {
-                    StorageError::Io(e.to_string())
-                }
-            })?;
-        }
+        let buf = persist::read_exact_at(&self.file, offset, len).map_err(|e| {
+            if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                StorageError::Corrupt(format!(
+                    "blob at offset {offset} (length {len}) reaches past the end of the file \
+                     (truncated?)"
+                ))
+            } else {
+                StorageError::Io(e.to_string())
+            }
+        })?;
         self.bytes_read.fetch_add(len, Ordering::Relaxed);
         record::credit(|r| r.add_bytes_read(len));
         Ok(buf)

@@ -158,25 +158,11 @@ impl CompressedTable {
     /// primary-key order, which provides the clustering and time-ordering
     /// properties the format needs.
     pub fn build(table: &ActivityTable, options: CompressionOptions) -> Result<Self> {
-        Self::build_with_metas(table, build_metas(table), options)
-    }
-
-    /// Like [`CompressedTable::build`] but encoding against **given**
-    /// column metadata instead of metadata derived from the table. The
-    /// dictionaries must cover every value in the table (a superset is
-    /// fine); integer ranges may be wider than the table's. This is the
-    /// incremental-ingest path: a batch is encoded against the dictionaries
-    /// *merged* with an existing file's, so its chunks can be appended to
-    /// that file without re-encoding anything already on disk.
-    pub fn build_with_metas(
-        table: &ActivityTable,
-        metas: Vec<ColumnMeta>,
-        options: CompressionOptions,
-    ) -> Result<Self> {
         if options.chunk_size == 0 {
             return Err(StorageError::Invalid("chunk_size must be positive".into()));
         }
         let schema = table.schema().clone();
+        let metas = build_metas(table);
 
         // Hash-based value→gid encoders: O(1) per value instead of a
         // binary search in the global dictionary.
@@ -207,8 +193,41 @@ impl CompressedTable {
         }
 
         let meta = TableMeta::new(schema, metas, table.num_rows(), options)?;
+        Ok(CompressedTable::from_encoded(meta, chunks))
+    }
+
+    /// This table with `batch` merged in: the [`CompressedTable::build`]
+    /// image of both row sets, re-encoded in global-id space without
+    /// decompressing the existing chunks. A primary key the batch shares
+    /// with the table is rejected with [`StorageError::Invalid`].
+    pub fn merged_with(&self, batch: &ActivityTable) -> Result<Self> {
+        if batch.schema() != self.schema() {
+            return Err(StorageError::Invalid(
+                "batch schema differs from the table's schema".into(),
+            ));
+        }
+        let (merged, step) = crate::rewrite::merge_metas(&self.meta, batch)?;
+        let user_idx = self.schema().user_idx();
+        let chunks = self
+            .chunks
+            .iter()
+            .map(|c| crate::rewrite::remap_chunk(c, &step, user_idx))
+            .collect::<Result<Vec<_>>>()?;
+        crate::rewrite::rewrite(&merged, &chunks, Some(batch), &[], true)
+    }
+
+    /// This table re-encoded as the [`CompressedTable::build`] image of its
+    /// rows: chunks re-filled to the target size, dictionaries and ranges
+    /// tightened to the values present.
+    pub fn compacted(&self) -> Result<Self> {
+        crate::rewrite::rewrite(&self.meta, &self.chunks, None, &[], true)
+    }
+
+    /// Assemble from chunks the caller just encoded against `meta`,
+    /// computing their index entries.
+    pub(crate) fn from_encoded(meta: TableMeta, chunks: Vec<Chunk>) -> Self {
         let index = chunks.iter().map(|c| ChunkIndexEntry::of_chunk(c, meta.schema())).collect();
-        Ok(CompressedTable { meta, chunks, index })
+        CompressedTable { meta, chunks, index }
     }
 
     /// Assemble from parts (persistence path). Validates global row count.
@@ -334,8 +353,8 @@ impl CompressedTable {
 }
 
 /// Decode every row of one fully materialized chunk back into values, in
-/// storage order (shared by [`CompressedTable::decompress`] and the append
-/// path, which must re-encode the chunks of returning users).
+/// storage order (for [`CompressedTable::decompress`]; rewrites stay in
+/// global-id space, see `crate::rewrite`).
 pub(crate) fn chunk_rows(meta: &TableMeta, chunk: &Chunk) -> Vec<Vec<Value>> {
     let schema = meta.schema();
     let user_idx = schema.user_idx();

@@ -6,8 +6,8 @@
 //! [`ActivityTable`] batches (which arrive in arbitrary interleavings as
 //! live traffic), re-sorts them into the paper's §3 `(user, time, action)`
 //! primary order, and encodes them into chunk-sized runs — either as a fresh
-//! standalone table ([`TableWriter::build`]) or appended onto an existing v3
-//! file ([`TableWriter::append_to`], which drives
+//! standalone table ([`TableWriter::build`]) or appended onto an existing
+//! v3/v4 file ([`TableWriter::append_to`], which drives
 //! [`persist::append`]). Buffering several batches
 //! before flushing amortizes the per-append footer rewrite and produces
 //! fuller chunks.
@@ -83,7 +83,7 @@ impl TableWriter {
         CompressedTable::build(&table, options)
     }
 
-    /// Drain the buffer and append it onto an existing v3 file (see
+    /// Drain the buffer and append it onto an existing v3/v4 file (see
     /// [`persist::append`] for the on-disk mechanics, dictionary epochs, and
     /// the returning-user rewrite).
     pub fn append_to(&mut self, path: &Path) -> Result<AppendStats> {

@@ -5,7 +5,7 @@
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder};
 use cohana_storage::{
-    persist, ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError,
+    persist, shard, ChunkSource, CompressedTable, CompressionOptions, FileSource, StorageError,
     TableWriter,
 };
 use std::path::PathBuf;
@@ -52,6 +52,31 @@ fn split_by_time(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
             b.finish().unwrap()
         })
         .collect()
+}
+
+/// Split a table so later batches bring back only some users: every
+/// `every`-th user's second half (by time) is spread over `k - 1` later
+/// batches, in time order, and everything else is batch 0. Later batches'
+/// returning users then sit in some chunks but not all, so appends take the
+/// in-place path and leave dead bytes.
+fn split_returning_subset(table: &ActivityTable, every: usize, k: usize) -> Vec<ActivityTable> {
+    let tidx = table.schema().time_idx();
+    let (lo, hi) = table.int_range(tidx).unwrap();
+    let mid = lo + (hi - lo) / 2;
+    let mut builders: Vec<TableBuilder> =
+        (0..k).map(|_| TableBuilder::new(table.schema().clone())).collect();
+    for (bi, block) in table.user_blocks().enumerate() {
+        for row in &table.rows()[block.range()] {
+            let t = row.get(tidx).as_int().unwrap();
+            let slot = if bi % every != 0 || t < mid {
+                0
+            } else {
+                1 + ((t - mid) as usize * (k - 1) / (hi - mid + 1) as usize)
+            };
+            builders[slot].push(row.values().to_vec()).unwrap();
+        }
+    }
+    builders.into_iter().map(|b| b.finish().unwrap()).collect()
 }
 
 /// Write the first batch as a fresh v3 file, append the rest, and return the
@@ -273,7 +298,7 @@ fn refresh_after_compact_switches_to_the_new_image() {
 #[test]
 fn compact_reclaims_dead_bytes_and_restores_build_once_image() {
     let table = base_table();
-    let batches = split_by_time(&table, 4);
+    let batches = split_returning_subset(&table, 8, 4);
     let (path, stats) = build_by_appends("compact.cohana", &batches);
     let appended_size = std::fs::metadata(&path).unwrap().len();
     assert!(stats.last().unwrap().dead_bytes > 0);
@@ -392,4 +417,176 @@ fn truncated_appended_file_reports_named_corruption() {
         assert!(persist::from_bytes(&bytes[..cut]).is_err(), "cut at {cut} should fail");
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn full_rewrite_append_lands_the_compacted_image() {
+    // Time slices revisit every user, so the second batch supersedes every
+    // chunk: the append writes the compacted image instead of a tail.
+    let table = base_table();
+    let batches = split_by_time(&table, 2);
+    let opts = CompressionOptions::with_chunk_size(CHUNK);
+    let once = CompressedTable::build(&table, opts).unwrap();
+    let first = CompressedTable::build(&batches[0], opts).unwrap();
+    type Writer = fn(&CompressedTable) -> bytes::Bytes;
+    for (name, writer) in [("v3", persist::to_bytes_v3 as Writer), ("v4", persist::to_bytes)] {
+        let path = temp_path(&format!("full-rewrite-{name}.cohana"));
+        std::fs::write(&path, writer(&first)).unwrap();
+        let mut src = FileSource::open(&path).unwrap();
+        for i in 0..src.num_chunks() {
+            src.chunk(i).unwrap();
+        }
+        let warm_chunks = src.num_chunks();
+
+        let stats = persist::append(&path, &batches[1]).unwrap();
+        assert_eq!(stats.chunks_rewritten, stats.chunks_before, "{name}: every chunk superseded");
+        assert_eq!(stats.dead_bytes, 0, "{name}");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, writer(&once).to_vec(), "{name}: not the build-once image");
+        assert_eq!(
+            (stats.bytes_appended, stats.file_bytes),
+            (bytes.len() as u64, bytes.len() as u64)
+        );
+        assert_eq!(persist::file_space_stats(&path).unwrap().dead_bytes, 0);
+
+        // The open source keeps its pre-append snapshot through the old
+        // inode; refresh sees a new file and drops every cached segment.
+        assert_eq!(src.table_meta().num_rows(), batches[0].num_rows());
+        assert_eq!(&*src.chunk(0).unwrap(), &first.chunks()[0]);
+        let refreshed = src.refresh().unwrap();
+        assert_eq!(refreshed.segments_invalidated, warm_chunks * table.schema().arity());
+        assert_eq!(src.table_meta().num_rows(), table.num_rows());
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+/// Split a table into `k` batches, some users whole (round-robin) and the
+/// rest by time, so returning users meet both fresh and rewritten chunks.
+fn split_mixed(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
+    let tidx = table.schema().time_idx();
+    let (lo, hi) = table.int_range(tidx).unwrap();
+    let span = (hi - lo + 1) as usize;
+    let mut builders: Vec<TableBuilder> =
+        (0..k).map(|_| TableBuilder::new(table.schema().clone())).collect();
+    for (bi, block) in table.user_blocks().enumerate() {
+        for row in &table.rows()[block.range()] {
+            let t = (row.get(tidx).as_int().unwrap() - lo) as usize;
+            let slot = if bi % 2 == 0 { bi % k } else { t * k / span };
+            builders[slot].push(row.values().to_vec()).unwrap();
+        }
+    }
+    builders.into_iter().map(|b| b.finish().unwrap()).collect()
+}
+
+/// A sorted table of the given rows.
+fn table_of<'a>(
+    schema: &cohana_activity::Schema,
+    rows: impl IntoIterator<Item = &'a cohana_activity::Tuple>,
+) -> ActivityTable {
+    let mut b = TableBuilder::new(schema.clone());
+    for row in rows {
+        b.push(row.values().to_vec()).unwrap();
+    }
+    b.finish().unwrap()
+}
+
+use proptest::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    #[test]
+    fn prop_rewrites_match_build_once_images(
+        seed in 0u64..1_000_000,
+        users in 6usize..24,
+        k in 2usize..6,
+        split in 0usize..3,
+        chunk in prop::sample::select(vec![64usize, 256, 1024]),
+        v3 in prop::bool::ANY,
+    ) {
+        let table = generate(&GeneratorConfig { seed, ..GeneratorConfig::new(users) });
+        let schema = table.schema().clone();
+        let user_idx = schema.user_idx();
+        let batches = match split {
+            0 => split_by_user(&table, k),
+            1 => split_by_time(&table, k),
+            _ => split_mixed(&table, k),
+        };
+        let opts = CompressionOptions::with_chunk_size(chunk);
+        let writer = if v3 { persist::to_bytes_v3 } else { persist::to_bytes };
+        let image = |t: &ActivityTable| writer(&CompressedTable::build(t, opts).unwrap()).to_vec();
+        let path = temp_path(&format!("prop-{seed}-{users}-{k}-{split}-{chunk}-{v3}.cohana"));
+        std::fs::write(&path, image(&batches[0])).unwrap();
+
+        for i in 1..batches.len() {
+            let so_far = table_of(&schema, batches[..i].iter().flat_map(|b| b.rows()));
+            // One stored row slipped into the batch: prefer a row of a user
+            // the batch brings back, so the duplicate sits inside that
+            // user's merged run.
+            let stored = |u: &str| {
+                so_far.rows().iter().find(|r| r.get(user_idx).as_str() == Some(u))
+            };
+            let returning = batches[i]
+                .rows()
+                .iter()
+                .find_map(|r| stored(r.get(user_idx).as_str().unwrap()));
+            if let Some(dup) = returning.or(so_far.rows().first()) {
+                let before = std::fs::read(&path).unwrap();
+                let bad = table_of(&schema, batches[i].rows().iter().chain([dup]));
+                prop_assert!(matches!(persist::append(&path, &bad), Err(StorageError::Invalid(_))));
+                prop_assert_eq!(std::fs::read(&path).unwrap(), before);
+            }
+
+            let stats = persist::append(&path, &batches[i]).unwrap();
+            let rows = table_of(&schema, batches[..=i].iter().flat_map(|b| b.rows()));
+            let eager = persist::read_file(&path).unwrap();
+            prop_assert_eq!(eager.decompress().unwrap().rows(), rows.rows());
+            let bytes = std::fs::read(&path).unwrap();
+            if stats.chunks_rewritten == stats.chunks_before {
+                prop_assert_eq!(stats.dead_bytes, 0);
+                prop_assert!(bytes == image(&rows), "full rewrite is not the build-once image");
+            }
+            prop_assert_eq!(&bytes[4..8], &(if v3 { 3u32 } else { 4 }).to_le_bytes());
+        }
+
+        // Compaction lands on the v4 build-once image.
+        persist::compact(&path).unwrap();
+        let once = CompressedTable::build(&table, opts).unwrap();
+        prop_assert!(std::fs::read(&path).unwrap() == persist::to_bytes(&once).to_vec());
+        std::fs::remove_file(&path).ok();
+
+        // Deleting users from a grown sharded table rewrites each owning
+        // shard to the build-once image of its remaining rows.
+        // (Shard boundaries come from the first batch's users.)
+        if !batches[0].is_empty() {
+            let dir = temp_path(&format!("prop-shards-{seed}-{users}-{k}-{split}-{chunk}-{v3}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let manifest = shard::create_sharded(&dir, &batches[0], 2, opts).unwrap();
+            for b in &batches[1..] {
+                shard::append_sharded(&dir, b).unwrap();
+            }
+            let names: Vec<&str> = table
+                .user_blocks()
+                .map(|b| table.rows()[b.start].get(user_idx).as_str().unwrap())
+                .collect();
+            let victims: Vec<&str> = names.iter().copied().step_by(3).collect();
+            shard::delete_users(&dir, &victims).unwrap();
+            for s in 0..manifest.num_shards() {
+                if !victims.iter().any(|v| manifest.route(v) == s) {
+                    continue;
+                }
+                let kept = table_of(
+                    &schema,
+                    table.rows().iter().filter(|r| {
+                        let u = r.get(user_idx).as_str().unwrap();
+                        manifest.route(u) == s && !victims.contains(&u)
+                    }),
+                );
+                let got = std::fs::read(manifest.shard_path(&dir, s)).unwrap();
+                let want = persist::to_bytes(&CompressedTable::build(&kept, opts).unwrap()).to_vec();
+                prop_assert!(got == want, "shard {} after delete is not build(rows minus victims)", s);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
