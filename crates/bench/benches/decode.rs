@@ -29,6 +29,7 @@
 //! CI) shrinks it to a bit-rot check.
 
 use cohana_activity::{generate, GeneratorConfig};
+use cohana_bench::report::record_line;
 use cohana_storage::{
     codec::{decode_section_into, encode_section, raw_section_len},
     Codec, CompressedTable, CompressionOptions,
@@ -185,18 +186,6 @@ fn bench_decode(c: &mut Criterion) {
         ));
     }
     record_line(&format!("{{\"bench\": \"decode/speedup\", {}}}", speedups.join(", ")));
-}
-
-/// Append one extra JSON line to the same report file the criterion shim
-/// writes (bench binaries run sequentially, so appending is race-free).
-fn record_line(line: &str) {
-    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
-    if let Ok(mut f) =
-        std::fs::OpenOptions::new().create(true).append(true).open(std::path::Path::new(&path))
-    {
-        use std::io::Write;
-        let _ = writeln!(f, "{line}");
-    }
 }
 
 criterion_group!(benches, bench_decode);

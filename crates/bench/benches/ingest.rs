@@ -7,6 +7,7 @@
 //! per bench) so append/compact bit-rot fails the workflow.
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder};
+use cohana_bench::datasets::time_slices;
 use cohana_core::{paper, plan_query, PlannerOptions, Statement};
 use cohana_storage::{persist, ChunkSource, CompressedTable, CompressionOptions, FileSource};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -18,24 +19,6 @@ fn bench_dir() -> PathBuf {
     let dir = std::env::temp_dir().join("cohana-ingest-bench");
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Contiguous time slices (returning users in every later slice).
-fn time_slices(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
-    let tidx = table.schema().time_idx();
-    let mut order: Vec<usize> = (0..table.num_rows()).collect();
-    order.sort_by_key(|&r| table.rows()[r].get(tidx).as_int().unwrap());
-    let per = table.num_rows().div_ceil(k).max(1);
-    order
-        .chunks(per)
-        .map(|rows| {
-            let mut b = TableBuilder::new(table.schema().clone());
-            for &r in rows {
-                b.push(table.rows()[r].values().to_vec()).unwrap();
-            }
-            b.finish().unwrap()
-        })
-        .collect()
 }
 
 /// Split per user block (no user spans batches: appends never rewrite).

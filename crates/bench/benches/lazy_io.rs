@@ -24,6 +24,7 @@
 //! CI) shrinks it to a bit-rot check.
 
 use cohana_activity::{generate, GeneratorConfig};
+use cohana_bench::report::record_line;
 use cohana_core::{paper, PlannerOptions, Statement};
 use cohana_storage::{
     persist, ChunkSource, Codec, CompressedTable, CompressionOptions, FileSource,
@@ -176,18 +177,6 @@ fn record_compression(v4_path: &Path, v3_len: u64, v4_len: u64) {
             stats.decode_nanos,
             stats.decode_mbps()
         ));
-    }
-}
-
-/// Append one extra JSON line to the same report file the criterion shim
-/// writes (bench binaries run sequentially, so appending is race-free).
-fn record_line(line: &str) {
-    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
-    if let Ok(mut f) =
-        std::fs::OpenOptions::new().create(true).append(true).open(std::path::Path::new(&path))
-    {
-        use std::io::Write;
-        let _ = writeln!(f, "{line}");
     }
 }
 

@@ -19,6 +19,7 @@
 //! (`COHANA_BENCH_SMOKE=1`, CI) shrinks it to a bit-rot check.
 
 use cohana_activity::{generate, GeneratorConfig};
+use cohana_bench::report::record_line;
 use cohana_core::{paper, CohortQuery, PlannerOptions, Statement};
 use cohana_storage::{CompressedTable, CompressionOptions};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -78,26 +79,13 @@ fn bench_morsel_scheduler(c: &mut Criterion) {
         stats.morsels_executed,
         busy.iter().map(|ns| ns / 1_000_000).collect::<Vec<_>>()
     );
-    record_worker_busy(&busy, stats.morsels_executed);
-}
-
-/// Append the per-worker busy split as one extra JSON line to the same
-/// report file the criterion shim writes (bench binaries run sequentially,
-/// so appending is race-free).
-fn record_worker_busy(busy_ns: &[u64], morsels: u64) {
-    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
-    let joined = busy_ns.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(", ");
-    let line = format!(
-        "{{\"bench\": \"morsel_scheduler/worker_busy\", \"workers\": {}, \"morsels\": {morsels}, \
+    let joined = busy.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(", ");
+    record_line(&format!(
+        "{{\"bench\": \"morsel_scheduler/worker_busy\", \"workers\": {}, \"morsels\": {}, \
          \"worker_busy_ns\": [{joined}]}}",
-        busy_ns.len()
-    );
-    if let Ok(mut f) =
-        std::fs::OpenOptions::new().create(true).append(true).open(std::path::Path::new(&path))
-    {
-        use std::io::Write;
-        let _ = writeln!(f, "{line}");
-    }
+        busy.len(),
+        stats.morsels_executed
+    ));
 }
 
 criterion_group!(benches, bench_morsel_scheduler);

@@ -12,7 +12,7 @@
 //!
 //! Full mode scans a generated ~1M-row table; smoke mode
 //! (`COHANA_BENCH_SMOKE=1`, CI) shrinks the dataset so the bench stays a
-//! bit-rot check. Sources: the resident [`CompressedTable`] and a v3
+//! bit-rot check. Sources: the resident [`CompressedTable`] and a v4
 //! [`FileSource`] whose segment cache is warmed first (decode cost without
 //! disk I/O in the timed region).
 
@@ -42,7 +42,7 @@ fn bench_scan_throughput(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("scan-throughput.cohana");
     persist::write_file(&compressed, &path).unwrap();
-    let v3 = Arc::new(FileSource::open(&path).unwrap());
+    let v4 = Arc::new(FileSource::open(&path).unwrap());
 
     let queries: Vec<(&str, CohortQuery)> =
         vec![("q1", paper::q1()), ("q3", paper::q3()), ("q4", paper::q4())];
@@ -55,7 +55,7 @@ fn bench_scan_throughput(c: &mut Criterion) {
     for (name, query) in &queries {
         for (src_name, src) in [
             ("resident", Arc::clone(&compressed) as Arc<dyn ChunkSource>),
-            ("v3_warm", Arc::clone(&v3) as Arc<dyn ChunkSource>),
+            ("v4_warm", Arc::clone(&v4) as Arc<dyn ChunkSource>),
         ] {
             let stmt = Statement::over(src, query, PlannerOptions::default(), 1).unwrap();
             stmt.execute().unwrap(); // warm the segment cache

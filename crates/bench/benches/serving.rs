@@ -15,6 +15,8 @@
 //! the report for the `serving/` lines.
 
 use cohana_activity::{generate, GeneratorConfig, Timestamp};
+use cohana_bench::report::record_line;
+use cohana_bench::timing::percentile;
 use cohana_core::{paper, Cohana, CohortQuery, EngineOptions};
 use cohana_server::{Client, Server, ServerConfig};
 use cohana_storage::{CompressedTable, CompressionOptions};
@@ -35,13 +37,6 @@ fn queries() -> Vec<(&'static str, CohortQuery)> {
         ("q7", paper::q7(7)),
         ("q8", paper::q8(7)),
     ]
-}
-
-/// Nearest-rank percentile over unsorted samples.
-fn percentile(samples: &mut [Duration], p: f64) -> Duration {
-    samples.sort_unstable();
-    let rank = ((p / 100.0) * samples.len() as f64).ceil().max(1.0) as usize;
-    samples[rank.min(samples.len()) - 1]
 }
 
 fn main() {
@@ -118,9 +113,9 @@ fn main() {
     for (name, latency, _) in &all {
         by_query.entry(name).or_default().push(*latency);
     }
-    for (name, mut lat) in by_query {
-        let p50 = percentile(&mut lat, 50.0);
-        let p99 = percentile(&mut lat, 99.0);
+    for (name, lat) in by_query {
+        let p50 = percentile(&lat, 50.0).expect("every query ran");
+        let p99 = percentile(&lat, 99.0).expect("every query ran");
         eprintln!("# serving/{name}: {} runs, p50 {p50:.1?}, p99 {p99:.1?}", lat.len());
         record_line(&format!(
             "{{\"bench\": \"serving/{name}\", \"runs\": {}, \"p50_seconds\": {:.6}, \
@@ -131,9 +126,9 @@ fn main() {
         ));
     }
 
-    let mut lat: Vec<Duration> = all.iter().map(|(_, d, _)| *d).collect();
-    let p50 = percentile(&mut lat, 50.0);
-    let p99 = percentile(&mut lat, 99.0);
+    let lat: Vec<Duration> = all.iter().map(|(_, d, _)| *d).collect();
+    let p50 = percentile(&lat, 50.0).expect("queries ran");
+    let p99 = percentile(&lat, 99.0).expect("queries ran");
     eprintln!(
         "# serving/mix: {total_queries} queries over {wall:.1?}, p50 {p50:.1?}, p99 {p99:.1?}, \
          {rows_per_sec:.0} rows/s, peak {}/{} active, queue depth max {}, total queue wait {:.1?}",
@@ -153,16 +148,4 @@ fn main() {
         admission.max_queue_depth,
         admission.total_queue_wait.as_secs_f64()
     ));
-}
-
-/// Append one JSON line to the shared report file (bench binaries run
-/// sequentially, so appending is race-free).
-fn record_line(line: &str) {
-    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
-    if let Ok(mut f) =
-        std::fs::OpenOptions::new().create(true).append(true).open(std::path::Path::new(&path))
-    {
-        use std::io::Write;
-        let _ = writeln!(f, "{line}");
-    }
 }

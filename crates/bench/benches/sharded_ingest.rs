@@ -26,6 +26,8 @@
 //! (`COHANA_BENCH_SMOKE=1`, CI) shrinks it to a bit-rot check.
 
 use cohana_activity::{generate, ActivityTable, GeneratorConfig, TableBuilder};
+use cohana_bench::datasets::time_slices;
+use cohana_bench::report::record_line;
 use cohana_core::{paper, MaintenanceConfig};
 use cohana_storage::{persist, shard, CompressedTable, CompressionOptions};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -39,25 +41,6 @@ fn bench_dir() -> PathBuf {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     dir
-}
-
-/// Contiguous time slices (returning users in every later slice, so appends
-/// rewrite chunks and leave dead bytes — the shape compaction exists for).
-fn time_slices(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
-    let tidx = table.schema().time_idx();
-    let mut order: Vec<usize> = (0..table.num_rows()).collect();
-    order.sort_by_key(|&r| table.rows()[r].get(tidx).as_int().unwrap());
-    let per = table.num_rows().div_ceil(k).max(1);
-    order
-        .chunks(per)
-        .map(|rows| {
-            let mut b = TableBuilder::new(table.schema().clone());
-            for &r in rows {
-                b.push(table.rows()[r].values().to_vec()).unwrap();
-            }
-            b.finish().unwrap()
-        })
-        .collect()
 }
 
 /// Split off the later half (by time) of every `every`-th user's activity:
@@ -287,18 +270,6 @@ fn bench_query_during_compaction(c: &mut Criterion) {
     drop(handle);
     drop(engine);
     std::fs::remove_dir_all(dir.parent().unwrap()).ok();
-}
-
-/// Append one extra JSON line to the same report file the criterion shim
-/// writes (bench binaries run sequentially, so appending is race-free).
-fn record_line(line: &str) {
-    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
-    if let Ok(mut f) =
-        std::fs::OpenOptions::new().create(true).append(true).open(std::path::Path::new(&path))
-    {
-        use std::io::Write;
-        let _ = writeln!(f, "{line}");
-    }
 }
 
 criterion_group!(benches, bench_append, bench_query_during_compaction);

@@ -16,17 +16,18 @@ use cohana_bench::report::ExperimentResult;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "\
+/// The help text; the experiment ids come from [`experiments::EXPERIMENTS`].
+fn usage() -> String {
+    let ids: Vec<&str> = experiments::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    format!(
+        "\
 cohana-bench — regenerate the tables and figures of 'Cohort Query Processing'
 
 USAGE:
     cohana-bench [OPTIONS]
 
 OPTIONS:
-    --exp <id>        experiment to run: table2, table3, fig6, fig7, fig8,
-                      fig9, fig10, fig11, ablation, parallel, lazy-io,
-                      scan-throughput, morsel-scheduler,
-                      ingest, sharded-ingest, serving, all [default: all]
+    --exp <id>        an EXPERIMENTS id, or all           [default: all]
     --users <n>       users in the scale-1 dataset        [default: 1000]
     --scales <list>   comma-separated scale factors       [default: 1,2,4,8]
     --chunks <list>   comma-separated chunk sizes         [default: 16384,65536,262144,1048576]
@@ -35,14 +36,20 @@ OPTIONS:
     --full            the paper's full scale sweep (1..64); slow
     --out <dir>       output directory for CSV/JSON       [default: results]
     --help            show this help
-";
+
+EXPERIMENTS:
+    {}
+",
+        ids.join(", ")
+    )
+}
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
+            eprintln!("{}", usage());
             ExitCode::FAILURE
         }
     }
@@ -83,13 +90,25 @@ fn run() -> Result<(), String> {
             }
             "--out" => out_dir = PathBuf::from(next(&mut i)?),
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return Ok(());
             }
             other => return Err(format!("unknown argument {other:?}")),
         }
         i += 1;
     }
+
+    // Resolve the id before building any dataset, so a typo fails fast.
+    let single = match exp.as_str() {
+        "all" => None,
+        id => Some(
+            experiments::EXPERIMENTS
+                .iter()
+                .find(|(name, _)| *name == id)
+                .map(|(_, run)| *run)
+                .ok_or_else(|| format!("unknown experiment {id:?}"))?,
+        ),
+    };
 
     eprintln!(
         "# dataset: {} users at scale 1, scales {:?}, {} runs/point",
@@ -102,25 +121,9 @@ fn run() -> Result<(), String> {
         cache.base().num_users()
     );
 
-    let results: Vec<ExperimentResult> = match exp.as_str() {
-        "table2" => vec![experiments::table2(&mut cache)],
-        "table3" => vec![experiments::table3(&mut cache)],
-        "fig6" => vec![experiments::fig6(&mut cache)],
-        "fig7" => vec![experiments::fig7(&mut cache)],
-        "fig8" => vec![experiments::fig8(&mut cache)],
-        "fig9" => vec![experiments::fig9(&mut cache)],
-        "fig10" => vec![experiments::fig10(&mut cache)],
-        "fig11" => vec![experiments::fig11(&mut cache)],
-        "ablation" => vec![experiments::ablation(&mut cache)],
-        "parallel" => vec![experiments::parallel(&mut cache)],
-        "lazy-io" => vec![experiments::lazy_io(&mut cache)],
-        "scan-throughput" => vec![experiments::scan_throughput(&mut cache)],
-        "morsel-scheduler" => vec![experiments::morsel_scheduler(&mut cache)],
-        "ingest" => vec![experiments::ingest(&mut cache)],
-        "sharded-ingest" => vec![experiments::sharded_ingest(&mut cache)],
-        "serving" => vec![experiments::serving(&mut cache)],
-        "all" => experiments::all(&mut cache),
-        other => return Err(format!("unknown experiment {other:?}")),
+    let results: Vec<ExperimentResult> = match single {
+        Some(run) => vec![run(&mut cache)],
+        None => experiments::all(&mut cache),
     };
 
     for r in &results {

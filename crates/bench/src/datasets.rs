@@ -4,7 +4,7 @@
 //! derive scaled variants with the paper's scale-factor semantics. Building
 //! and compressing large tables is expensive, so everything is cached.
 
-use cohana_activity::{generate, scale_table, ActivityTable, GeneratorConfig};
+use cohana_activity::{generate, scale_table, ActivityTable, GeneratorConfig, TableBuilder};
 use cohana_storage::{CompressedTable, CompressionOptions};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -109,6 +109,27 @@ impl DatasetCache {
         self.scaled.clear();
         self.compressed.clear();
     }
+}
+
+/// Split a table into `k` contiguous time slices (the streaming-arrival
+/// shape): users active across slice boundaries return in later slices, so
+/// appending the slices in order rewrites their chunks and leaves dead
+/// bytes for compaction.
+pub fn time_slices(table: &ActivityTable, k: usize) -> Vec<ActivityTable> {
+    let tidx = table.schema().time_idx();
+    let mut order: Vec<usize> = (0..table.num_rows()).collect();
+    order.sort_by_key(|&r| table.rows()[r].get(tidx).as_int().expect("time"));
+    let per = table.num_rows().div_ceil(k).max(1);
+    order
+        .chunks(per)
+        .map(|rows| {
+            let mut b = TableBuilder::new(table.schema().clone());
+            for &r in rows {
+                b.push(table.rows()[r].values().to_vec()).expect("row pushes");
+            }
+            b.finish().expect("slice sorts")
+        })
+        .collect()
 }
 
 #[cfg(test)]

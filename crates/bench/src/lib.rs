@@ -14,10 +14,18 @@
 //! | `fig10`    | Figure 10 (MV generation vs compression time) | [`experiments::fig10`] |
 //! | `fig11`    | Figure 11 (five evaluation schemes, Q1–Q4, scales) | [`experiments::fig11`] |
 //! | `ablation` | DESIGN.md D1–D4 optimization ablations | [`experiments::ablation`] |
+//! | `parallel` | extension: chunk-parallel speedup | [`experiments::parallel`] |
 //!
-//! The `cohana-bench` binary drives them (`cohana-bench --exp fig11`), and
-//! the `benches/` directory holds criterion microbenchmark versions of the
-//! same measurements at fixed small scales.
+//! The `cohana-bench` binary drives them (`cohana-bench --exp fig11`); the
+//! ids are the keys of [`experiments::EXPERIMENTS`].
+//!
+//! Every measurement has exactly one home. Paper figures live here, as
+//! `--exp` experiments. Engine-layer measurements (`storage`, `decode`,
+//! `lazy_io`, `scan_throughput`, `morsel_scheduler`, `ingest`,
+//! `sharded_ingest`, `serving`) live only as criterion targets in
+//! `benches/`, which share this crate's [`report::record_line`],
+//! [`datasets::time_slices`] and [`timing::percentile`]. End-to-end
+//! workloads live in the separate `perfbench/` workspace.
 //!
 //! Absolute times differ from the paper's testbed; the harness is about
 //! reproducing the *shape*: who wins, by how many orders of magnitude, and

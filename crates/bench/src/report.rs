@@ -1,5 +1,6 @@
 //! Experiment result tables: aligned text for the terminal, CSV and JSON
-//! for further analysis.
+//! for further analysis; plus the JSON-lines report the criterion benches
+//! append to.
 
 use std::path::Path;
 
@@ -122,6 +123,19 @@ impl ExperimentResult {
         std::fs::write(dir.join(format!("{}.csv", self.name)), self.to_csv())?;
         std::fs::write(dir.join(format!("{}.json", self.name)), self.to_json())?;
         Ok(())
+    }
+}
+
+/// Append one JSON line to the `COHANA_BENCH_REPORT` file, the same report
+/// the criterion shim writes its timings to (bench binaries run
+/// sequentially, so appending is race-free). A no-op when the variable is
+/// unset.
+pub fn record_line(line: &str) {
+    let Some(path) = std::env::var_os("COHANA_BENCH_REPORT") else { return };
+    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(Path::new(&path))
+    {
+        use std::io::Write;
+        let _ = writeln!(f, "{line}");
     }
 }
 

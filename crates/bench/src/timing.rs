@@ -1,5 +1,6 @@
 //! Simple wall-clock measurement used by the experiment harness (the
-//! criterion benches use criterion's own statistics instead).
+//! criterion benches use criterion's own statistics instead; the custom
+//! `serving` bench shares [`percentile`]).
 
 use std::time::{Duration, Instant};
 
@@ -23,23 +24,6 @@ pub fn time_avg<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
         std::hint::black_box(out);
     }
     total / runs as u32
-}
-
-/// Run `f` once to warm up, then `runs` times, returning every measured
-/// duration in execution order. The latency-distribution experiments
-/// (morsel scheduler) need the samples, not just [`time_avg`]'s mean.
-pub fn time_samples<T>(runs: usize, mut f: impl FnMut() -> T) -> Vec<Duration> {
-    assert!(runs > 0);
-    let _ = f(); // warm-up
-    (0..runs)
-        .map(|_| {
-            let start = Instant::now();
-            let out = f();
-            let d = start.elapsed();
-            std::hint::black_box(out);
-            d
-        })
-        .collect()
 }
 
 /// Nearest-rank percentile (`p` in 0..=100) of unsorted duration samples.
@@ -84,14 +68,6 @@ mod tests {
         let mut count = 0;
         let _ = time_avg(5, || count += 1);
         assert_eq!(count, 6); // 1 warm-up + 5 measured
-    }
-
-    #[test]
-    fn time_samples_returns_one_duration_per_run() {
-        let mut count = 0;
-        let samples = time_samples(4, || count += 1);
-        assert_eq!(samples.len(), 4);
-        assert_eq!(count, 5); // 1 warm-up + 4 measured
     }
 
     #[test]
